@@ -10,6 +10,7 @@ from .geometry import (
     BalancedDegree,
     LatticePolygon,
     HTransverseShape,
+    UnsupportedDegreeError,
     dual_polygon,
     degree_from_polygon,
     lattice_counts,
@@ -33,7 +34,6 @@ from .curves import (
 )
 from .floors import (
     FloorDiagram,
-    UnsupportedDegreeError,
     compute_G_floor,
     enumerate_diagrams,
     markings_count,

@@ -156,13 +156,13 @@ def delta_minus_1_lower_bound(deg: BalancedDegree) -> tuple[int, int]:
     return bound, slack
 
 
-def cross_validate(deg: BalancedDegree, g: int, jobs: int = 1) -> InvariantReport:
+def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
     """Both engines, all eight lambda orders, and the evaluation laws.
 
     The report is partial when the floor engine does not cover the degree's
     shape: the agreement check is then omitted rather than failed.
     """
-    by_order = {lam.spec(): compute_G_path(deg, g, lam=lam, jobs=jobs) for lam in all_orders()}
+    by_order = {lam.spec(): compute_G_path(deg, g, lam=lam) for lam in all_orders()}
     G = by_order[DEFAULT_ORDER.spec()]
     distinct = len(set(by_order.values()))
     checks = [
@@ -197,13 +197,13 @@ def cross_validate(deg: BalancedDegree, g: int, jobs: int = 1) -> InvariantRepor
     return InvariantReport(canonical_spec(deg), g, G, delta, checks)
 
 
-def analyze(deg: BalancedDegree, g: int, jobs: int = 1) -> InvariantReport:
+def analyze(deg: BalancedDegree, g: int) -> InvariantReport:
     """Full per-count report: structural laws plus the a_{delta-1} formula.
 
     The formula check appears only where it applies: genus 0, h-transverse
     dual polygon, nonempty interior.
     """
-    G = compute_G_path(deg, g, jobs=jobs)
+    G = compute_G_path(deg, g)
     report = structural_checks(deg, g, G)
     if g == 0 and report.delta is not None and report.delta.denominator == 1:
         shape = h_transverse(dual_polygon(deg))

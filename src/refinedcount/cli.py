@@ -33,19 +33,19 @@ from .curves import (
     property_report,
 )
 from .floors import (
-    UnsupportedDegreeError,
     compute_G_floor,
     enumerate_diagrams,
     markings_count,
     refined_multiplicity,
 )
-from .geometry import BalancedDegree, delta_invariant, dual_polygon, parse_degree
+from .geometry import UnsupportedDegreeError, delta_invariant, dual_polygon, parse_degree
 from .laurent import RefinedPoly
 from .paths import (
     DEFAULT_ORDER,
     MINUS,
     PLUS,
     LambdaOrder,
+    _require_primitive,
     compute_G_path,
     enumerate_paths,
     get_engine,
@@ -111,15 +111,6 @@ def append_cache(path: Path, spec: str, genus: int, engine: str, G: RefinedPoly)
 # -- shared helpers -------------------------------------------------------------
 
 
-def _parse_spec(text: str) -> BalancedDegree:
-    return parse_degree(text)
-
-
-def _require_primitive_for_paths(deg: BalancedDegree) -> None:
-    if not deg.is_primitive():
-        raise UnsupportedDegreeError("lattice-path engine requires primitive degree")
-
-
 def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\n")
 
@@ -150,10 +141,10 @@ def _print_report(report: InvariantReport, fmt: str) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    deg = _parse_spec(args.spec)
+    deg = parse_degree(args.spec)
     lam = LambdaOrder.parse(args.lam)
     if args.engine in ("path", "both"):
-        _require_primitive_for_paths(deg)
+        _require_primitive(deg)
     spec = canonical_spec(deg)
     key = (spec, args.genus)
 
@@ -166,7 +157,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         # Verification mode: always run both engines, never trust the cache
         # for the verdict.
         G_floor = compute_G_floor(deg, args.genus)
-        G = compute_G_path(deg, args.genus, lam, jobs=args.jobs)
+        G = compute_G_path(deg, args.genus, lam)
         agreement = G_floor == G
         if cached is None:
             append_cache(path, spec, args.genus, "both", G)
@@ -176,7 +167,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.engine == "floor":
             G = compute_G_floor(deg, args.genus)
         else:
-            G = compute_G_path(deg, args.genus, lam, jobs=args.jobs)
+            G = compute_G_path(deg, args.genus, lam)
         if cached is None:
             append_cache(path, spec, args.genus, args.engine, G)
 
@@ -277,7 +268,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_diagrams(args: argparse.Namespace) -> int:
-    deg = _parse_spec(args.spec)
+    deg = parse_degree(args.spec)
     for D in enumerate_diagrams(deg, args.genus):
         obj = D.to_json_obj()
         obj["nu"] = markings_count(D)
@@ -287,8 +278,8 @@ def cmd_diagrams(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    deg = _parse_spec(args.spec)
-    _require_primitive_for_paths(deg)
+    deg = parse_degree(args.spec)
+    _require_primitive(deg)  # enumerate_paths takes the polygon, not the degree
     lam = LambdaOrder.parse(args.lam)
     poly = dual_polygon(deg)
     engine = get_engine(poly, lam)
@@ -303,16 +294,12 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    deg = _parse_spec(args.spec)
-    _require_primitive_for_paths(deg)
-    report = analyze(deg, args.genus, jobs=args.jobs)
+    report = analyze(parse_degree(args.spec), args.genus)
     return _print_report(report, args.format)
 
 
 def cmd_invariance(args: argparse.Namespace) -> int:
-    deg = _parse_spec(args.spec)
-    _require_primitive_for_paths(deg)
-    report = cross_validate(deg, args.genus, jobs=args.jobs)
+    report = cross_validate(parse_degree(args.spec), args.genus)
     return _print_report(report, args.format)
 
 
@@ -320,7 +307,7 @@ def cmd_invariance(args: argparse.Namespace) -> int:
 
 
 def _add_common(sub: argparse.ArgumentParser, *, genus: bool = True, lam: bool = False,
-                fmt: bool = False, jobs: bool = False) -> None:
+                fmt: bool = False) -> None:
     if genus:
         sub.add_argument("--genus", type=int, default=0, help="target genus (default 0)")
     if lam:
@@ -337,8 +324,6 @@ def _add_common(sub: argparse.ArgumentParser, *, genus: bool = True, lam: bool =
             default="table",
             help="output format (default table)",
         )
-    if jobs:
-        sub.add_argument("--jobs", type=int, default=1, help="parallelism budget")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="recompute and compare byte-for-byte against any cached value",
     )
-    _add_common(p_count, lam=True, fmt=True, jobs=True)
+    _add_common(p_count, lam=True, fmt=True)
     p_count.set_defaults(func=cmd_count)
 
     p_curve = sub.add_parser("curve", help="multiplicity report for a curve file")
@@ -381,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="structural-law report for one count")
     p_analyze.add_argument("spec")
-    _add_common(p_analyze, fmt=True, jobs=True)
+    _add_common(p_analyze, fmt=True)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_inv = sub.add_parser(
         "invariance", help="ordering-independence and engine-agreement checks"
     )
     p_inv.add_argument("spec")
-    _add_common(p_inv, fmt=True, jobs=True)
+    _add_common(p_inv, fmt=True)
     p_inv.set_defaults(func=cmd_invariance)
 
     return parser

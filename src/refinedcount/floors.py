@@ -32,12 +32,8 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Iterator, Optional
 
-from .geometry import BalancedDegree, p1xp1_degree, p2_degree
+from .geometry import BalancedDegree, UnsupportedDegreeError, p1xp1_degree, p2_degree
 from .laurent import RefinedPoly, quantum_integer
-
-
-class UnsupportedDegreeError(ValueError):
-    """Degree outside the two families this engine knows how to decompose."""
 
 
 @dataclass(frozen=True)

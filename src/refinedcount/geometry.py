@@ -32,6 +32,10 @@ class PolygonError(ValueError):
     """Raised for vertex data that does not describe a convex lattice polygon."""
 
 
+class UnsupportedDegreeError(ValueError):
+    """Raised for a valid degree that a counting engine cannot handle."""
+
+
 def cross(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 

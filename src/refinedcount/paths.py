@@ -31,13 +31,11 @@ edges) and splices profile pairs to evaluate b1 without re-walking cells.
 
 Recursion states repeat heavily across paths and genera, so each
 (polygon, lambda) pair owns a long-lived engine with memo tables; the
-tables tolerate concurrent idempotent inserts, which lets the CLI fan out
-paths across worker threads.
+engine and its tables are single-threaded.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,9 +45,9 @@ from typing import Iterator
 from .geometry import (
     BalancedDegree,
     LatticePolygon,
+    UnsupportedDegreeError,
     Vec,
     cross,
-    degree_from_polygon,
     delta_invariant,
     dual_polygon,
     lattice_counts,
@@ -486,47 +484,28 @@ def get_engine(poly: LatticePolygon, lam: LambdaOrder) -> PathEngine:
 
 def _require_primitive(deg: BalancedDegree) -> None:
     if not deg.is_primitive():
-        raise ValueError("lattice-path engine requires primitive degree")
+        raise UnsupportedDegreeError("lattice-path engine requires primitive degree")
 
 
 def enumerate_paths(poly: LatticePolygon, g: int, lam: LambdaOrder = DEFAULT_ORDER) -> list[LatticePath]:
-    _require_primitive(degree_from_polygon(poly))
+    # every polygon's degree is primitive: its vectors are primitive side normals
     engine = get_engine(poly, lam)
-    kappa = lattice_counts(poly)[1]
     return [
         LatticePath(tuple(engine.points[i] for i in ids))
-        for ids in engine.path_id_tuples(g, kappa)
+        for ids in engine.path_id_tuples(g, engine.kappa)
     ]
 
 
-def compute_G_path(
-    deg: BalancedDegree,
-    g: int,
-    lam: LambdaOrder = DEFAULT_ORDER,
-    jobs: int = 1,
-) -> RefinedPoly:
-    """Sum of joint path multiplicities (pairs with b1 == g) over all paths."""
+def compute_G_path(deg: BalancedDegree, g: int, lam: LambdaOrder = DEFAULT_ORDER) -> RefinedPoly:
+    """Sum of joint path multiplicities (pairs with b1 == g) over all paths.
+
+    Raises UnsupportedDegreeError (a ValueError) for a non-primitive degree.
+    """
     _require_primitive(deg)
-    poly = dual_polygon(deg)
-    engine = get_engine(poly, lam)
-    kappa = deg.kappa
-    ids_list = list(engine.path_id_tuples(g, kappa))
-
-    def total_for(chunk: list[tuple[int, ...]]) -> dict[int, int]:
-        acc: dict[int, int] = {}
-        for ids in chunk:
-            acc = _add(acc, engine.path_multiplicity(ids, g))
-        return acc
-
-    if jobs > 1 and len(ids_list) > 1:
-        chunks = [ids_list[i::jobs] for i in range(jobs)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(total_for, chunks))
-        total: dict[int, int] = {}
-        for part in parts:
-            total = _add(total, part)
-    else:
-        total = total_for(ids_list)
+    engine = get_engine(dual_polygon(deg), lam)
+    total: dict[int, int] = {}
+    for ids in engine.path_id_tuples(g, deg.kappa):
+        total = _add(total, engine.path_multiplicity(ids, g))
     return RefinedPoly.from_half_units(total)
 
 

@@ -93,14 +93,24 @@ def test_count_exit_codes(capsys):
     assert code == 2
     assert "error:" in err
 
-    code, _, err = run(capsys, "count", "vectors:(2,0);(0,2);(-2,-2)")
-    assert code == 3
-    assert "lattice-path engine requires primitive degree" in err
+    nonprimitive = "vectors:(2,0);(0,2);(-2,-2)"
+    for argv in (
+        ("count", nonprimitive),
+        ("count", nonprimitive, "--engine", "both"),
+        ("paths", nonprimitive),
+        ("analyze", nonprimitive),
+        ("invariance", nonprimitive),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == "error: lattice-path engine requires primitive degree\n"
 
     code, _, err = run(capsys, "count", "polygon:(0,0),(2,1),(0,2)",
                        "--engine", "floor")
     assert code == 3
 
+    assert main(["count", "P2:d=3", "--jobs", "2"]) == 2  # no such option
     assert main([]) == 2
     assert main(["--help"]) == 0
     capsys.readouterr()

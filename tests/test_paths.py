@@ -7,6 +7,7 @@ import pytest
 from refinedcount.floors import compute_G_floor
 from refinedcount.geometry import (
     BalancedDegree,
+    UnsupportedDegreeError,
     delta_invariant,
     dual_polygon,
     genus_max,
@@ -109,10 +110,6 @@ def test_path_engine_agrees_with_floor_engine():
             assert compute_G_path(deg, g) == compute_G_floor(deg, g)
 
 
-def test_jobs_split_gives_identical_polynomial():
-    assert compute_G_path(p2_degree(4), 0, jobs=3) == compute_G_path(p2_degree(4), 0)
-
-
 def test_lambda_invariance_small():
     reference = compute_G_path(p2_degree(3), 0)
     for lam in all_orders():
@@ -138,8 +135,9 @@ def test_per_path_joint_multiplicities_are_structured():
 
 def test_nonprimitive_degree_rejected():
     deg = BalancedDegree([(2, 0), (0, 2), (-2, -2)])
-    with pytest.raises(ValueError):
-        compute_G_path(deg, 0)
+    for count in (compute_G_path, delta_curve_census):
+        with pytest.raises(UnsupportedDegreeError, match="requires primitive degree"):
+            count(deg, 0)
 
 
 def test_census_examples():
