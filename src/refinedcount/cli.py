@@ -67,14 +67,14 @@ def cache_path() -> Path:
     return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE))
 
 
-def load_cache(path: Path) -> dict[tuple[str, int], dict]:
-    """Map (canonical spec, genus) -> newest entry; corrupt lines are skipped.
+def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
+    """Map (canonical spec, genus, engine) -> newest entry; corrupt lines are skipped.
 
     The file is append-only, so the last well-formed entry for a key wins.
     A cache must never make the tool fail: anything unreadable is reported
     on stderr and ignored.
     """
-    entries: dict[tuple[str, int], dict] = {}
+    entries: dict[tuple[str, int, str], dict] = {}
     if not path.exists():
         return entries
     with path.open(encoding="utf-8") as fh:
@@ -84,15 +84,13 @@ def load_cache(path: Path) -> dict[tuple[str, int], dict]:
                 continue
             try:
                 obj = json.loads(line)
-                key = (obj["spec"], int(obj["genus"]))
                 RefinedPoly.from_json_obj(obj["poly"])
+                entries[(obj["spec"], int(obj["genus"]), obj["engine"])] = obj
             except (ValueError, KeyError, TypeError) as exc:
                 print(
                     f"warning: {path}:{lineno}: skipping corrupt cache line ({exc})",
                     file=sys.stderr,
                 )
-                continue
-            entries[key] = obj
     return entries
 
 
@@ -146,11 +144,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.engine in ("path", "both"):
         _require_primitive(deg)
     spec = canonical_spec(deg)
-    key = (spec, args.genus)
 
     path = cache_path()
     entries = load_cache(path)
-    cached = entries.get(key)
+    # an entry from --engine both was computed by both engines, which agreed
+    cached = entries.get((spec, args.genus, args.engine)) or entries.get(
+        (spec, args.genus, "both")
+    )
 
     agreement: Optional[bool] = None
     if args.engine == "both":
@@ -159,7 +159,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         G_floor = compute_G_floor(deg, args.genus)
         G = compute_G_path(deg, args.genus, lam)
         agreement = G_floor == G
-        if cached is None:
+        if cached is None and agreement:
             append_cache(path, spec, args.genus, "both", G)
     elif cached is not None and not args.verify_cache:
         G = RefinedPoly.from_json_obj(cached["poly"])

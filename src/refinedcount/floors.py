@@ -3,18 +3,24 @@
 Supported degrees: the triangle family P2(d) and the rectangle family
 P1xP1(d, r).  A curve stretched in the vertical direction decomposes into
 horizontal *floors* joined by vertical *elevators*; only the combinatorics
-survives:
+survives.  Write in(v) / out(v) for the total weight of finite elevators
+reaching floor v from below / leaving it upward:
 
-* P2(d): d floors (1 = bottom).  Writing out(v) / in(v) for the total weight
-  of finite elevators leaving floor v downward / entering from below, every
-  floor satisfies out(v) - in(v) + infinite_down(v) = 1 and the infinite
-  downward weights sum to d.  No upward infinite elevators.
-* P1xP1(d, r): r floors, out(v) + infinite_down(v) = in(v) + infinite_up(v),
+* P2(d): d floors (1 = bottom).  Every floor satisfies
+  in(v) - out(v) + infinite_down(v) = 1 and the infinite downward weights
+  sum to d.  No upward infinite elevators.
+* P1xP1(d, r): r floors, out(v) + infinite_up(v) = in(v) + infinite_down(v),
   and the infinite weights sum to d separately up and down.  The split of
   each floor's divergence between up and down ends is a free choice, so one
   weighted floor graph yields several diagrams.
 
 The genus is the cycle count of the floor graph: #elevators - #floors + 1.
+
+Both families are generated by one recursion over the floors, bottom to
+top.  At each floor it ends some of the elevators crossing the gap below
+and starts new ones, and it drops a branch as soon as the floors so far need
+more infinite ends than the degree has, more elevators than the genus
+allows, or leave a connected piece with no elevator going up.
 
 A *marking* orders floors and elevators compatibly with the partial order
 "lower endpoint before elevator before upper endpoint" (infinite elevators
@@ -26,9 +32,10 @@ G(g, deg) = sum nu(D) * mult(D).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import product
 from math import factorial
 from typing import Iterator, Optional
 
@@ -81,54 +88,6 @@ def classify_family(deg: BalancedDegree) -> Optional[tuple]:
     return None
 
 
-def _connected(n_floors: int, edges: tuple[tuple[int, int], ...]) -> bool:
-    adj: dict[int, set[int]] = {v: set() for v in range(1, n_floors + 1)}
-    for lo, up in edges:
-        adj[lo].add(up)
-        adj[up].add(lo)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n_floors
-
-
-def _weight_assignments(
-    edges: tuple[tuple[int, int], ...],
-    max_weight: int,
-    cut_capacity: list[int],
-) -> Iterator[tuple[int, ...]]:
-    """All weight tuples; equal parallel edges get non-increasing weights.
-
-    `cut_capacity[t]` bounds the total weight of edges crossing the gap
-    between floors t and t+1 (an elevator (lo, up) crosses gaps lo..up-1).
-    """
-    n = len(edges)
-    crossing = [tuple(t for t in range(lo, up)) for lo, up in edges]
-
-    def rec(i: int, used: list[int], acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(acc)
-            return
-        hi = max_weight
-        if i > 0 and edges[i] == edges[i - 1]:
-            hi = min(hi, acc[-1])  # canonical order within a parallel group
-        hi = min(hi, *(cut_capacity[t] - used[t] for t in crossing[i]))
-        for w in range(1, hi + 1):
-            for t in crossing[i]:
-                used[t] += w
-            acc.append(w)
-            yield from rec(i + 1, used, acc)
-            acc.pop()
-            for t in crossing[i]:
-                used[t] -= w
-    yield from rec(0, [0] * len(cut_capacity), [])
-
-
 def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
     """All floor diagrams for the degree and genus, lexicographically ordered."""
     family = classify_family(deg)
@@ -137,91 +96,102 @@ def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
             "floor diagrams are implemented for the P2(d) and P1xP1(d,r) families only"
         )
     name, params = family
-    out: list[FloorDiagram] = []
     if name == "P2":
-        d = params
-        n_floors = d
-        n_edges = g + d - 1
-        if g < 0 or n_edges < n_floors - 1:
-            return []
-        pairs = [(lo, up) for lo in range(1, d + 1) for up in range(lo + 1, d + 1)]
-        # gap between floors t,t+1 can carry at most d - t total weight:
-        # everything above floor t needs out-in+down = 1 per floor with down >= 0
-        cut_capacity = [0] + [d - t for t in range(1, d)]
-        for edge_combo in combinations_with_replacement(pairs, n_edges):
-            if not _connected(n_floors, edge_combo):
-                continue
-            for weights in _weight_assignments(edge_combo, d, cut_capacity):
-                down = _p2_infinite_down(d, edge_combo, weights)
-                if down is None:
-                    continue
-                out.append(FloorDiagram(
-                    family="P2",
-                    n_floors=n_floors,
-                    elevators=tuple(sorted(
-                        (lo, up, w) for (lo, up), w in zip(edge_combo, weights)
-                    )),
-                    infinite_down=down,
-                    infinite_up=(0,) * n_floors,
-                ))
+        # each floor absorbs one unit of weight, and no infinite end goes up
+        d = n_floors = params
+        sink, up_ends = 1, 0
     else:
-        d, r = params
-        n_floors = r
-        n_edges = g + r - 1
-        if g < 0 or n_edges < n_floors - 1:
-            return []
-        pairs = [(lo, up) for lo in range(1, r + 1) for up in range(lo + 1, r + 1)]
-        cut_capacity = [0] + [d for _ in range(1, r)]
-        for edge_combo in combinations_with_replacement(pairs, n_edges):
-            if not _connected(n_floors, edge_combo):
-                continue
-            for weights in _weight_assignments(edge_combo, d, cut_capacity):
-                divergence = [0] * (r + 1)
-                for (lo, up), w in zip(edge_combo, weights):
-                    divergence[lo] -= w   # leaves upward
-                    divergence[up] += w   # arrives from below
-                # per floor: infinite_up(v) = infinite_down(v) + divergence[v];
-                # the down counts are a free choice subject to nonnegativity
-                for down in _p1xp1_down_choices(d, r, divergence):
-                    up_counts = tuple(down[v - 1] + divergence[v] for v in range(1, r + 1))
-                    out.append(FloorDiagram(
-                        family="P1xP1",
-                        n_floors=n_floors,
-                        elevators=tuple(sorted(
-                            (lo, up, w) for (lo, up), w in zip(edge_combo, weights)
-                        )),
-                        infinite_down=tuple(down),
-                        infinite_up=up_counts,
-                    ))
+        d, n_floors = params
+        sink, up_ends = 0, d
+    out: list[FloorDiagram] = []
+    for elevators, excess in _floor_graphs(n_floors, g + n_floors - 1, d, sink, up_ends):
+        for down in _down_choices(d, excess):
+            assert sum(down) == d
+            out.append(FloorDiagram(
+                family=name,
+                n_floors=n_floors,
+                elevators=elevators,
+                infinite_down=down,
+                infinite_up=tuple(dn + e for dn, e in zip(down, excess)),
+            ))
     out.sort(key=lambda D: (D.elevators, D.infinite_down, D.infinite_up))
     return out
 
 
-def _p2_infinite_down(d, edges, weights) -> Optional[tuple[int, ...]]:
-    down = [1] * d  # start from the per-floor divergence target
-    for (lo, up), w in zip(edges, weights):
-        down[up - 1] -= w
-        down[lo - 1] += w
-    # down[v-1] = 1 - out(v) + in(v) must be a nonnegative count
-    if any(c < 0 for c in down):
-        return None
-    assert sum(down) == d
-    return tuple(down)
+def _floor_graphs(
+    n: int, n_elevators: int, d: int, sink: int, up_ends: int,
+) -> list[tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]]:
+    """Connected weighted floor graphs on floors 1..n, built from the bottom.
+
+    Returns (elevators, excess) pairs: the sorted (lower, upper, weight)
+    multiset with exactly `n_elevators` members, and excess[v-1] = in(v) -
+    out(v) - sink, so floor v needs max(0, -excess) infinite ends below it
+    and max(0, excess) above.  A branch dies as soon as the ends needed so
+    far exceed d below or `up_ends` above (this bounds the weight crossing
+    each gap: d - t under floor t+1 for P2, d for P1xP1), or a connected
+    component of the floors placed so far has no elevator left to leave by.
+    """
+    found: list = []
+
+    def rec(v, crossing, comp, done, excess, left):
+        # crossing: (lower, weight) of each elevator crossing the gap under
+        # floor v; comp[u-1]: the component label of floor u < v.  Equal
+        # elevators are ended by count, so each multiset is built once.
+        downs = sum(max(0, -e) for e in excess)
+        ups = sum(max(0, e) for e in excess)
+        classes = sorted(Counter(crossing).items())
+        counts = [range(m + 1) if v < n else (m,) for _, m in classes]
+        for ks in product(*counts):
+            ended = [c for (c, _), k in zip(classes, ks) for _ in range(k)]
+            passing = [c for (c, m), k in zip(classes, ks) for _ in range(m - k)]
+            arriving = sum(w for _, w in ended)
+            merged = {comp[lo - 1] for lo, _ in ended} | {v}
+            label = min(merged)
+            comp_v = tuple(label if c in merged else c for c in comp) + (label,)
+            done_v = done + [(lo, v, w) for lo, w in ended]
+            most = d - downs + arriving - sink  # largest out(v) with ends below <= d
+            for started in _weight_tuples(most, left if v < n else 0, most):
+                e = arriving - sum(started) - sink
+                if e > up_ends - ups:
+                    continue
+                if v == n:
+                    if left == 0 and len(set(comp_v)) == 1:
+                        found.append((tuple(sorted(done_v)), tuple(excess + [e])))
+                    continue
+                nxt = passing + [(v, w) for w in started]
+                if set(comp_v) <= {comp_v[lo - 1] for lo, _ in nxt}:
+                    rec(v + 1, nxt, comp_v, done_v, excess + [e], left - len(started))
+
+    rec(1, [], (), [], [], n_elevators)
+    return found
 
 
-def _p1xp1_down_choices(d: int, r: int, divergence: list[int]) -> Iterator[list[int]]:
+def _weight_tuples(max_sum: int, max_len: int, max_w: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing tuples of positive weights <= max_w, summing to <= max_sum."""
+    if max_sum < 0:
+        return
+    yield ()
+    if max_len > 0:
+        for w in range(min(max_w, max_sum), 0, -1):
+            for rest in _weight_tuples(max_sum - w, max_len - 1, w):
+                yield (w,) + rest
+
+
+def _down_choices(d: int, excess: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Nonnegative down-counts per floor summing to d with up-counts >= 0.
 
-    up(v) = down(v) + divergence[v] where divergence[v] = in(v) - out(v).
+    up(v) = down(v) + excess[v-1].  For P2 the minima already sum to d, so
+    there is exactly one choice; for P1xP1 the slack is spread freely.
     """
-    minima = [max(0, -divergence[v]) for v in range(1, r + 1)]
+    minima = [max(0, -e) for e in excess]
+    n = len(minima)
     slack = d - sum(minima)
     if slack < 0:
         return
-    def rec(v: int, left: int, acc: list[int]) -> Iterator[list[int]]:
-        if v == r:
+    def rec(v: int, left: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
+        if v == n:
             if left == 0:
-                yield list(acc)
+                yield tuple(acc)
             return
         for extra in range(left + 1):
             acc.append(minima[v] + extra)

@@ -53,6 +53,63 @@ def markings_count_brute(D: FloorDiagram) -> int:
     return labeled // sym
 
 
+def floor_diagrams_brute(deg, g: int) -> list[tuple]:
+    """(elevators, infinite_down, infinite_up) of every floor diagram, sorted.
+
+    Straight from the definition in the floors module docstring: draw every
+    multiset of g + n - 1 elevators (lower, upper, weight) on floors 1..n,
+    keep it when it connects the floors, and attach every choice of
+    infinite ends that satisfies the family's divergence law.  No weight
+    exceeds d, since the weight crossing a gap is at most the number of
+    infinite ends on one side of it.
+    """
+    counts: dict = {}
+    for v in deg.vectors:
+        counts[v] = counts.get(v, 0) + 1
+    p2 = set(counts) == {(-1, 0), (0, -1), (1, 1)}
+    d, n = (counts[(1, 1)],) * 2 if p2 else (counts[(0, 1)], counts[(1, 0)])
+    n_elevators = g + n - 1
+    if n_elevators < 0:
+        return []
+    triples = [
+        (lo, up, w)
+        for lo in range(1, n + 1) for up in range(lo + 1, n + 1) for w in range(1, d + 1)
+    ]
+    end_counts = [t for t in itertools.product(range(d + 1), repeat=n) if sum(t) == d]
+    found = []
+    for elevators in itertools.combinations_with_replacement(triples, n_elevators):
+        net_in = [0] * (n + 1)  # in(v) - out(v)
+        for lo, up, w in elevators:
+            net_in[up] += w
+            net_in[lo] -= w
+        if p2:
+            # in(v) - out(v) + infinite_down(v) = 1, no upward ends
+            choices = [(tuple(1 - net_in[v] for v in range(1, n + 1)), (0,) * n)]
+        else:
+            # out(v) + infinite_up(v) = in(v) + infinite_down(v)
+            choices = [
+                (down, tuple(down[v - 1] + net_in[v] for v in range(1, n + 1)))
+                for down in end_counts
+            ]
+        choices = [
+            (down, up) for down, up in choices
+            if min(down + up) >= 0 and sum(down) == d and sum(up) == (0 if p2 else d)
+        ]
+        if not choices:
+            continue
+        reached = {1}
+        grew = True
+        while grew:
+            grew = False
+            for lo, up, _ in elevators:
+                if (lo in reached) != (up in reached):
+                    reached |= {lo, up}
+                    grew = True
+        if len(reached) == n:
+            found.extend((elevators, down, up) for down, up in choices)
+    return sorted(found)
+
+
 def poset_size(D: FloorDiagram) -> int:
     elements, _, _ = _poset_elements(D)
     return len(elements)

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from refinedcount import cli
 from refinedcount.cli import main
 from refinedcount.geometry import dual_polygon, p2_degree
+from refinedcount.laurent import RefinedPoly
 from refinedcount.paths import DEFAULT_ORDER, PLUS, MINUS, enumerate_paths, get_engine
 
 DATA_DIR = Path(__file__).parent / "data" / "curves"
@@ -116,7 +118,7 @@ def test_count_exit_codes(capsys):
     capsys.readouterr()
 
 
-def test_count_writes_and_reuses_cache(capsys, isolated_cache):
+def test_count_writes_and_reuses_cache(capsys, isolated_cache, monkeypatch):
     code, first, _ = run(capsys, "count", "P2:d=3")
     assert code == 0
     assert isolated_cache.exists()
@@ -129,6 +131,30 @@ def test_count_writes_and_reuses_cache(capsys, isolated_cache):
     assert code == 0
     assert second == first  # byte-identical on a cache hit
     assert len(isolated_cache.read_text().splitlines()) == 1  # no new entry
+
+    # the path engine's entry is not served under the floor engine's name
+    code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "floor")
+    assert code == 0
+    assert "engine: floor" in out
+    lines = isolated_cache.read_text().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1])["engine"] == "floor"
+
+    # an entry both engines agreed on serves either engine
+    code, _, _ = run(capsys, "count", "P2:d=3", "--genus", "1", "--engine", "both")
+    assert code == 0
+    assert len(isolated_cache.read_text().splitlines()) == 3
+    code, out, _ = run(capsys, "count", "P2:d=3", "--genus", "1")
+    assert code == 0
+    assert "engine: path" in out
+    assert len(isolated_cache.read_text().splitlines()) == 3
+
+    # engines that disagree leave nothing in the cache
+    monkeypatch.setattr(cli, "compute_G_floor", lambda deg, g: RefinedPoly.zero())
+    code, out, _ = run(capsys, "count", "P2:d=4", "--engine", "both")
+    assert code == 1
+    assert "agreement: MISMATCH" in out
+    assert len(isolated_cache.read_text().splitlines()) == 3
 
 
 def test_count_verify_cache(capsys, isolated_cache):
@@ -147,13 +173,14 @@ def test_count_verify_cache(capsys, isolated_cache):
 
 
 def test_count_skips_corrupt_cache_lines(capsys, isolated_cache):
-    isolated_cache.write_text('{"bad json\nnot even json\n')
+    unhashable = {"spec": "P2:d=3", "genus": 0, "engine": ["path"], "poly": [[0, "1"]]}
+    isolated_cache.write_text('{"bad json\nnot even json\n' + json.dumps(unhashable) + "\n")
     code, out, err = run(capsys, "count", "P2:d=3")
     assert code == 0
     assert "G: y+10+y^-1" in out
-    assert "skipping corrupt cache line" in err
+    assert err.count("skipping corrupt cache line") == 3
     # the fresh result is appended after the corrupt lines
-    assert len(isolated_cache.read_text().splitlines()) == 3
+    assert len(isolated_cache.read_text().splitlines()) == 4
 
 
 def test_count_both_never_trusts_cache(capsys, isolated_cache):

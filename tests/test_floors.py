@@ -20,7 +20,7 @@ from refinedcount.geometry import (
     parse_degree,
 )
 from refinedcount.laurent import RefinedPoly, quantum_integer
-from oracles import markings_count_brute, poset_size
+from oracles import floor_diagrams_brute, markings_count_brute, poset_size
 
 
 def test_classify_family():
@@ -53,11 +53,31 @@ def test_cubic_rational_diagrams():
 
 
 def test_enumeration_is_deterministic_and_sorted():
-    diagrams = enumerate_diagrams(p2_degree(4), 1)
-    assert len(diagrams) == 13
-    keys = [(D.elevators, D.infinite_down, D.infinite_up) for D in diagrams]
-    assert keys == sorted(keys)
-    assert diagrams == enumerate_diagrams(p2_degree(4), 1)
+    for deg, g, count in (
+        (p2_degree(4), 1, 13),
+        (p2_degree(5), 4, 28),
+        (p2_degree(5), 5, 7),
+        (p2_degree(5), 6, 1),
+        (p2_degree(6), 0, 1296),
+        (p2_degree(6), 1, 3082),
+        (p1xp1_degree(4, 5), 0, 3584),
+        (p1xp1_degree(5, 4), 0, 1750),
+    ):
+        diagrams = enumerate_diagrams(deg, g)
+        assert len(diagrams) == count
+        keys = [(D.elevators, D.infinite_down, D.infinite_up) for D in diagrams]
+        assert keys == sorted(keys)
+        assert diagrams == enumerate_diagrams(deg, g)
+
+
+def test_enumeration_matches_definition():
+    degrees = [p2_degree(d) for d in range(1, 5)]
+    degrees += [p1xp1_degree(d, r) for d in range(1, 4) for r in range(1, 4)]
+    for deg in degrees:
+        for g in range(genus_max(deg) + 1):
+            diagrams = enumerate_diagrams(deg, g)
+            keys = [(D.elevators, D.infinite_down, D.infinite_up) for D in diagrams]
+            assert keys == floor_diagrams_brute(deg, g), (deg, g)
 
 
 def test_refined_multiplicity_is_square_of_elevator_weights():

@@ -165,6 +165,19 @@ def test_fuel_counter_aborts_runaway_recursion(monkeypatch):
             engine.path_multiplicity(ids, 0)
 
 
+def test_fuel_is_spent_only_on_memo_misses():
+    deg = p2_degree(4)
+    engine = get_engine(dual_polygon(deg), DEFAULT_ORDER)
+    spent = []
+    for _ in range(3):
+        for g in range(genus_max(deg) + 1):
+            compute_G_path(deg, g)
+        # one unit per new memo entry: repeated counts on a cached engine are free
+        assert engine.fuel_used == len(engine._memo) + len(engine._profiles)
+        spent.append(engine.fuel_used)
+    assert spent[0] == spent[1] == spent[2]
+
+
 def test_path_id_tuples_rejects_impossible_genus():
     engine = PathEngine(dual_polygon(p2_degree(3)), DEFAULT_ORDER)
     with pytest.raises(ValueError):
