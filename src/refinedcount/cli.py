@@ -58,6 +58,8 @@ EXIT_UNSUPPORTED = 3
 
 CACHE_ENV_VAR = "REFINED_COUNT_CACHE"
 DEFAULT_CACHE = ".gcache.jsonl"
+# Bump when an engine fix changes any count, so older entries stop being served.
+CACHE_VERSION = 1
 
 
 # -- result cache ---------------------------------------------------------------
@@ -72,7 +74,8 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
 
     The file is append-only, so the last well-formed entry for a key wins.
     A cache must never make the tool fail: anything unreadable is reported
-    on stderr and ignored.
+    on stderr and ignored.  A well-formed entry written under another
+    CACHE_VERSION, or none, is skipped silently and so gets recomputed.
     """
     entries: dict[tuple[str, int, str], dict] = {}
     if not path.exists():
@@ -85,17 +88,22 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
             try:
                 obj = json.loads(line)
                 RefinedPoly.from_json_obj(obj["poly"])
-                entries[(obj["spec"], int(obj["genus"]), obj["engine"])] = obj
+                key = (obj["spec"], int(obj["genus"]), obj["engine"])
+                hash(key)  # a list-valued spec or engine raises TypeError
             except (ValueError, KeyError, TypeError) as exc:
                 print(
                     f"warning: {path}:{lineno}: skipping corrupt cache line ({exc})",
                     file=sys.stderr,
                 )
+                continue
+            if obj.get("version") == CACHE_VERSION:
+                entries[key] = obj
     return entries
 
 
 def append_cache(path: Path, spec: str, genus: int, engine: str, G: RefinedPoly) -> None:
     entry = {
+        "version": CACHE_VERSION,
         "spec": spec,
         "genus": genus,
         "engine": engine,

@@ -25,9 +25,12 @@ curve is the first Betti number b1 of the threaded dual graph, and a pair
 contributes to G(g, deg) exactly when b1 == g, with weight the product of
 the quantum integers of all triangles on both sides.  Summing
 mu_plus * mu_minus instead would also count pairs of the wrong genus, so
-the engine tracks a per-side connectivity profile (triangle count, closed
-dual edges, component count, and how open threads enter and leave the path
-edges) and splices profile pairs to evaluate b1 without re-walking cells.
+the engine tracks a per-side connectivity profile (how the open threads of
+the side's dual graph cross the path edges, one int link per edge) and
+splices profile pairs to evaluate b1 without re-walking cells.  Each side's
+dual graph is a forest, so the links alone fix b1.  Most paths have a side
+with no completed deformation (mu == 0); the classical recursion finds
+those cheaply, and no profile is built for such a path.
 
 Recursion states repeat heavily across paths and genera, so each
 (polygon, lambda) pair owns a long-lived engine with memo tables; the
@@ -158,159 +161,83 @@ class LatticePath:
 
 # -- per-side connectivity profiles ------------------------------------------
 #
-# A profile summarises every way threads of a side's dual graph interact with
-# the current path: (n_tri, e_closed, n_comp, links) where links[i] describes
-# the open thread crossing path edge i:
-#   ("B",)      the thread runs off to the polygon boundary (an unbounded end)
-#   ("C", cid)  the thread ends at a triangle in component cid
-#   ("S", k)    the thread passes through and re-crosses path edge k (mutual)
+# A profile summarises how the threads of a side's dual graph meet the
+# current path: links[i] describes the open thread crossing path edge i, as
+# an int:
+#   B = -1        the thread runs off to the polygon boundary (an unbounded end)
+#   C(c) = c >= 0 the thread ends at a triangle in component c
 # Component ids are canonical (numbered by first appearance among the links),
 # so deformations with identical dual-graph interfaces share one profile and
-# their weights accumulate.
+# their weights accumulate.  Every cell sits below the path it is stacked
+# onto and leads each thread from a top side down to a bottom side or into
+# its triangle, so no thread ever comes back up to cross the path twice.
+#
+# The links are the whole profile, because every side graph is a forest: the
+# arc has no triangle, no closed edge and no component; a cut adds one
+# triangle and either one closed edge (onto a C thread) or one component; a
+# reflect adds neither.  So closed edges - triangles + components = 0 on each
+# side, and only the splice across the path can close a cycle.
 
-_LINK_B = ("B",)
+_B = -1
 
-Profile = tuple[int, int, int, tuple]
+Profile = tuple[int, ...]
 
 
-def _canonical_profile(n_tri: int, e_closed: int, n_comp: int, links: list) -> Profile:
+def _canonical_profile(links: list[int]) -> Profile:
     relabel: dict[int, int] = {}
-    out = []
-    for link in links:
-        if link[0] == "C":
-            out.append(("C", relabel.setdefault(link[1], len(relabel))))
-        else:
-            out.append(link)
-    return (n_tri, e_closed, n_comp, tuple(out))
+    return tuple([relabel.setdefault(x, len(relabel)) if x >= 0 else x for x in links])
 
 
-def _compose_cut(profile: Profile, j: int) -> Profile:
+def _compose_cut(links: Profile, j: int) -> Profile:
     """Stack the corner triangle cut at position j onto a child profile.
 
     The child path lost point j, so child edge j-1 is the triangle's bottom
     side; the triangle's two top sides become edges j-1 and j of the parent
     path.  The triangle either plugs into the component its bottom thread
-    reaches (closing one dual edge) or starts a fresh component.
+    reaches or starts a fresh one, numbered len(links) to stay clear of the
+    canonical child ids.
     """
-    n_tri, e_closed, n_comp, links = profile
     bottom = links[j - 1]
-    if bottom[0] == "C":
-        t_comp = bottom[1]
-        e_closed += 1
-    else:
-        t_comp = n_tri  # fresh id, clear of the canonical child ids
-        n_comp += 1
-    top = ("C", t_comp)
-    out = []
-    for parent_edge in range(len(links) + 1):
-        if parent_edge == j - 1 or parent_edge == j:
-            out.append(top)
-            continue
-        child_edge = parent_edge if parent_edge < j - 1 else parent_edge - 1
-        link = links[child_edge]
-        if link[0] == "S":
-            k = link[1]
-            if k == j - 1:
-                out.append(top)  # that thread ran into the new triangle
-            else:
-                out.append(("S", k if k < j - 1 else k + 1))
-        else:
-            out.append(link)
-    return _canonical_profile(n_tri + 1, e_closed, n_comp, out)
+    top = bottom if bottom >= 0 else len(links)
+    return _canonical_profile([*links[:j - 1], top, top, *links[j:]])
 
 
-def _compose_reflect(profile: Profile, j: int) -> Profile:
+def _compose_reflect(links: Profile, j: int) -> Profile:
     """Stack the parallelogram reflected at position j onto a child profile.
 
     The parallelogram is pure wiring: parent edge j-1 threads through to
     child edge j, and parent edge j to child edge j-1; no vertex, no weight.
     """
-    n_tri, e_closed, n_comp, links = profile
-
-    def rewrite(link):
-        if link[0] == "S":
-            k = link[1]
-            if k == j - 1:
-                return ("S", j)
-            if k == j:
-                return ("S", j - 1)
-        return link
-
-    out = []
-    for parent_edge in range(len(links)):
-        if parent_edge == j - 1:
-            out.append(rewrite(links[j]))
-        elif parent_edge == j:
-            out.append(rewrite(links[j - 1]))
-        else:
-            out.append(rewrite(links[parent_edge]))
-    return _canonical_profile(n_tri, e_closed, n_comp, out)
+    out = list(links)
+    out[j - 1], out[j] = out[j], out[j - 1]
+    return _canonical_profile(out)
 
 
 @lru_cache(maxsize=None)
 def _pair_b1(minus: Profile, plus: Profile) -> int:
     """First Betti number of the dual graph spliced from two side profiles.
 
-    Open threads match up edge by edge across the path: each path edge joins
-    its minus-side link to its plus-side link, and ("S", k) links extend the
-    chain to another path edge.  A chain ending at triangles on both sides
-    adds a dual edge (and maybe merges components); a chain closing on
-    itself is a cycle with no vertex on it and counts directly.
+    Each path edge joins its minus-side thread to its plus-side thread.  When
+    both end at triangles that makes a dual edge between two components;
+    both sides are forests, so b1 counts the edges whose ends are already
+    joined.
     """
-    n_m, e_m, c_m, lm = minus
-    n_p, e_p, c_p, lp = plus
-    nslots = len(lm)
-    seen = [[False] * nslots, [False] * nslots]
-    links = (lm, lp)
-    edges = e_m + e_p
-    comps = c_m + c_p
-    loops = 0
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for s0 in range(nslots):
-        for d0 in (0, 1):
-            if seen[d0][s0]:
-                continue
-            first = links[d0][s0]
-            if first[0] == "S":
-                continue  # chain interior; reached from an endpoint or a loop
-            seen[d0][s0] = True
-            s, d = s0, 1 - d0
-            while True:
-                seen[d][s] = True
-                last = links[d][s]
-                if last[0] != "S":
-                    break
-                s = last[1]
-                seen[d][s] = True
-                d = 1 - d
-            if first[0] == "C" and last[0] == "C":
-                edges += 1
-                ra, rb = find((d0, first[1])), find((d, last[1]))
-                if ra != rb:
-                    parent[ra] = rb
-                    comps -= 1
-    for s0 in range(nslots):
-        for d0 in (0, 1):
-            if seen[d0][s0]:
-                continue
-            loops += 1
-            s, d = s0, d0
-            while not seen[d][s]:
-                seen[d][s] = True
-                s = links[d][s][1]
-                seen[d][s] = True
-                d = 1 - d
-    return edges - (n_m + n_p) + comps + loops
+    n = len(minus)
+    parent = list(range(2 * n))  # minus component c is c, plus component c is n + c
+    b1 = 0
+    for a, b in zip(minus, plus):
+        if a < 0 or b < 0:
+            continue  # an unbounded end
+        b += n
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a == b:
+            b1 += 1
+        else:
+            parent[a] = b
+    return b1
 
 
 class PathEngine:
@@ -324,6 +251,8 @@ class PathEngine:
         pts = sorted(poly.lattice_points(), key=lam.key)
         self.points = pts                       # index = lambda rank
         self.id_of = {pt: i for i, pt in enumerate(pts)}
+        self._xs = [x for x, _ in pts]
+        self._ys = [y for _, y in pts]
         counts = lattice_counts(poly)
         self.interior_count = counts[0]
         self.kappa = counts[1]
@@ -379,13 +308,17 @@ class PathEngine:
 
     def _corner(self, ids: tuple[int, ...], want_positive: bool):
         """First corner poking away from the side's arc, or None."""
-        pts = self.points
+        xs, ys = self._xs, self._ys
+        sign = 1 if want_positive else -1
+        ax, ay = xs[ids[0]], ys[ids[0]]
+        bx, by = xs[ids[1]], ys[ids[1]]
         for j in range(1, len(ids) - 1):
-            a, b, c = pts[ids[j - 1]], pts[ids[j]], pts[ids[j + 1]]
-            turn = cross(vsub(b, a), vsub(c, b))
-            if (turn > 0) if want_positive else (turn < 0):
-                reflected = (a[0] + c[0] - b[0], a[1] + c[1] - b[1])
-                return j, abs(turn), self.id_of.get(reflected)
+            c = ids[j + 1]
+            cx, cy = xs[c], ys[c]
+            turn = sign * ((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
+            if turn > 0:
+                return j, turn, self.id_of.get((ax + cx - bx, ay + cy - by))
+            ax, ay, bx, by = bx, by, cx, cy
         return None
 
     def mu_ids(self, ids: tuple[int, ...], side: str) -> dict[int, int]:
@@ -422,7 +355,7 @@ class PathEngine:
             return found
         self._burn()
         if ids == self._arcs[side]:
-            result = {(0, 0, 0, (_LINK_B,) * (len(ids) - 1)): _ONE}
+            result = {(_B,) * (len(ids) - 1): _ONE}
         else:
             result = {}
             corner = self._corner(ids, side == PLUS)
@@ -440,12 +373,12 @@ class PathEngine:
 
     def path_multiplicity(self, ids: tuple[int, ...], g: int) -> dict[int, int]:
         """Joint weight of the path: deformation pairs whose dual graph has b1 == g."""
+        # a dead side (mu == {}) has no profile, and the classical recursion
+        # that says so is far cheaper than building the other side's profiles
+        if not (self.mu_ids(ids, MINUS) and self.mu_ids(ids, PLUS)):
+            return {}
         minus = self.side_profiles(ids, MINUS)
-        if not minus:
-            return {}
         plus = self.side_profiles(ids, PLUS)
-        if not plus:
-            return {}
         acc: dict[int, int] = {}
         for prof_m, wm in minus.items():
             for prof_p, wp in plus.items():

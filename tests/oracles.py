@@ -2,18 +2,47 @@
 
 Everything here trades speed for obviousness: explicit enumeration of
 permutations, lattice scans over bounding boxes, and exhaustive cyclic-order
-search.  The production code must agree with these on small inputs.
+search.  The production code must agree with these on small inputs.  The
+plane curve numbers (Kontsevich's N_d, Welschinger's W_d) come from outside
+tropical geometry and use nothing from either engine.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cmp_to_key
-from math import factorial, gcd
+from functools import cmp_to_key, lru_cache
+from math import comb, factorial, gcd
 
 from refinedcount.floors import FloorDiagram, _poset_elements
 
 Vec = tuple[int, int]
+
+
+# -- plane curve numbers ----------------------------------------------------------
+
+# Welschinger invariants W_d of the real plane: rational degree-d curves through
+# 3d - 1 real points, counted with signs (Itenberg-Kharlamov-Shustin; Mikhalkin,
+# JAMS 2005).  W_d is G(0, P2(d)) at y = -1.
+WELSCHINGER = (1, 1, 8, 240, 18264, 2845440)  # d = 1..6
+
+
+@lru_cache(maxsize=None)
+def kontsevich(d: int) -> int:
+    """N_d, rational plane curves of degree d through 3d - 1 general points.
+
+    Kontsevich's recursion, which knows nothing of tropical curves:
+    N_d = sum over dA + dB = d of
+    N_dA N_dB (dA^2 dB^2 C(3d-4, 3dA-2) - dA^3 dB C(3d-4, 3dA-1)).
+    """
+    if d == 1:
+        return 1
+    return sum(
+        kontsevich(a) * kontsevich(d - a) * (
+            a * a * (d - a) ** 2 * comb(3 * d - 4, 3 * a - 2)
+            - a ** 3 * (d - a) * comb(3 * d - 4, 3 * a - 1)
+        )
+        for a in range(1, d)
+    )
 
 
 # -- linear extensions -----------------------------------------------------------

@@ -156,6 +156,18 @@ def test_count_writes_and_reuses_cache(capsys, isolated_cache, monkeypatch):
     assert "agreement: MISMATCH" in out
     assert len(isolated_cache.read_text().splitlines()) == 3
 
+    # an entry with no version predates the current engines: recompute it
+    stale = {"spec": "P2:d=4", "genus": 2, "engine": "path", "poly": [[0, "99"]]}
+    with isolated_cache.open("a") as fh:
+        fh.write(json.dumps(stale) + "\n")
+    code, out, err = run(capsys, "count", "P2:d=4", "--genus", "2")
+    assert code == 0
+    assert "G: 3*y+21+3*y^-1" in out
+    assert err == ""
+    lines = isolated_cache.read_text().splitlines()
+    assert len(lines) == 5
+    assert json.loads(lines[4])["version"] == cli.CACHE_VERSION
+
 
 def test_count_verify_cache(capsys, isolated_cache):
     run(capsys, "count", "P2:d=3")

@@ -20,7 +20,13 @@ from refinedcount.geometry import (
     parse_degree,
 )
 from refinedcount.laurent import RefinedPoly, quantum_integer
-from oracles import floor_diagrams_brute, markings_count_brute, poset_size
+from oracles import (
+    WELSCHINGER,
+    floor_diagrams_brute,
+    kontsevich,
+    markings_count_brute,
+    poset_size,
+)
 
 
 def test_classify_family():
@@ -112,6 +118,12 @@ def test_evaluations():
     assert (g04.evaluate(1), g04.evaluate(-1)) == (620, 240)
     assert compute_G_floor(p2_degree(5), 0).evaluate(1) == 87304
     assert compute_G_floor(p2_degree(5), 1).evaluate(1) == 87192
+
+
+def test_rational_counts_match_kontsevich_and_welschinger():
+    for d in range(1, 7):
+        G = compute_G_floor(p2_degree(d), 0)
+        assert (G.evaluate(1), G.evaluate(-1)) == (kontsevich(d), WELSCHINGER[d - 1])
 
 
 def test_degenerate_and_top_genus():

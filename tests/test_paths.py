@@ -28,6 +28,7 @@ from refinedcount.paths import (
     enumerate_paths,
     get_engine,
 )
+from oracles import WELSCHINGER, kontsevich
 
 
 def test_lambda_orders():
@@ -110,6 +111,12 @@ def test_path_engine_agrees_with_floor_engine():
             assert compute_G_path(deg, g) == compute_G_floor(deg, g)
 
 
+def test_rational_counts_match_kontsevich_and_welschinger():
+    for d in range(1, 6):
+        G = compute_G_path(p2_degree(d), 0)
+        assert (G.evaluate(1), G.evaluate(-1)) == (kontsevich(d), WELSCHINGER[d - 1])
+
+
 def test_lambda_invariance_small():
     reference = compute_G_path(p2_degree(3), 0)
     for lam in all_orders():
@@ -184,3 +191,26 @@ def test_path_id_tuples_rejects_impossible_genus():
         list(engine.path_id_tuples(2, 9))
     with pytest.raises(ValueError):
         list(engine.path_id_tuples(-1, 9))
+
+
+@pytest.mark.parametrize("lam", ["lex:+x,+y", "lex:+x,-y"])
+def test_side_profiles_partition_the_classical_multiplicity(lam):
+    # the two orders make opposite sides the mostly dead one
+    p2, quadric = p2_degree(4), p1xp1_degree(3, 3)
+    cases = [(p2, g) for g in range(genus_max(p2) + 1)] + [(quadric, g) for g in range(3)]
+    for deg, g in cases:
+        engine = PathEngine(dual_polygon(deg), LambdaOrder.parse(lam))
+        for ids in engine.path_id_tuples(g, deg.kappa):
+            for side in (MINUS, PLUS):
+                mu = engine.mu_ids(ids, side)
+                profiles = engine.side_profiles(ids, side)
+                # a side is dead exactly when it has no profile
+                assert (profiles == {}) == (mu == {})
+                total: dict[int, int] = {}
+                for links, weight in profiles.items():
+                    assert len(links) == len(ids) - 1
+                    # -1 is an unbounded end, c >= 0 a triangle in component c
+                    assert all(type(link) is int and link >= -1 for link in links)
+                    for e, v in weight.items():
+                        total[e] = total.get(e, 0) + v
+                assert total == mu
