@@ -314,10 +314,21 @@ def cmd_invariance(args: argparse.Namespace) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+def _genus(text: str) -> int:
+    """The --genus value: an int >= 0 (a negative genus is a usage error)."""
+    try:
+        g = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if g < 0:
+        raise argparse.ArgumentTypeError(f"genus must be >= 0, got {g}")
+    return g
+
+
 def _add_common(sub: argparse.ArgumentParser, *, genus: bool = True, lam: bool = False,
                 fmt: bool = False) -> None:
     if genus:
-        sub.add_argument("--genus", type=int, default=0, help="target genus (default 0)")
+        sub.add_argument("--genus", type=_genus, default=0, help="target genus (default 0)")
     if lam:
         sub.add_argument(
             "--lambda",

@@ -22,21 +22,35 @@ and starts new ones, and it drops a branch as soon as the floors so far need
 more infinite ends than the degree has, more elevators than the genus
 allows, or leave a connected piece with no elevator going up.
 
-A *marking* orders floors and elevators compatibly with the partial order
-"lower endpoint before elevator before upper endpoint" (infinite elevators
-sit above/below their floor); markings that differ by swapping
-indistinguishable elevators coincide.  nu(D) counts markings; the refined
-multiplicity of a diagram is prod [w]^2 over finite elevator weights, and
-G(g, deg) = sum nu(D) * mult(D).
+A *marking* is a word in the floors and elevators of D that lists the
+floors bottom to top, each finite elevator (lower, upper, w) between its
+two floors, each downward infinite end before its floor and each upward one
+after it.  Words that differ by swapping indistinguishable elevators (equal
+finite ones, or infinite ends of one floor on one side) coincide, and
+nu(D) counts markings.  `markings_count` writes the word left to right.
+The elevators and upward ends that a written floor has started and that are
+not yet written are *pending*, each due before its upper floor (an upward
+end before a virtual floor n + 1).  Writing one of m pending items due at
+the same floor multiplies the count by m.  Floor v may be written once no
+pending item is due at v; its infinite_down(v) downward ends are then
+slotted among the l letters already written, in C(l + infinite_down(v),
+infinite_down(v)) ways.  The result counts words with every finite elevator
+and upward end labelled; dividing by k! for each group of k equal finite
+elevators and by infinite_up(v)! for each floor gives nu(D).  The downward
+ends were slotted as identical letters, so they need no division.
+
+The refined multiplicity of a diagram is mult(D) = prod [w]^2 over its
+finite elevator weights, and G(g, deg) = sum nu(D) * mult(D).  Since mult(D)
+depends only on the multiset of weights, `compute_G_floor` sums nu(D) per
+multiset and forms each product once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import comb, factorial
 from typing import Iterator, Optional
 
 from .geometry import BalancedDegree, UnsupportedDegreeError, p1xp1_degree, p2_degree
@@ -202,88 +216,86 @@ def _down_choices(d: int, excess: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 # -- markings ------------------------------------------------------------------
 
-def _poset_elements(D: FloorDiagram):
-    """Elements, cover relations, and indistinguishability groups of a diagram.
-
-    Elements: floors ("F", v), finite elevators ("E", index), infinite ones
-    ("D"/"U", floor, copy).  Only predecessor sets matter for counting.
-    """
-    elements: list = [("F", v) for v in range(1, D.n_floors + 1)]
-    preds: dict = {e: set() for e in elements}
-    for v in range(2, D.n_floors + 1):
-        preds[("F", v)].add(("F", v - 1))
-    groups: list[list] = []
-    for i, (lo, up, w) in enumerate(D.elevators):
-        e = ("E", i)
-        elements.append(e)
-        preds[e] = {("F", lo)}
-        preds[("F", up)].add(e)
-    # group parallel elevators of equal weight
-    seen_groups: dict[tuple[int, int, int], list] = {}
-    for i, triple in enumerate(D.elevators):
-        seen_groups.setdefault(triple, []).append(("E", i))
-    groups.extend(g for g in seen_groups.values() if len(g) > 1)
-    for v in range(1, D.n_floors + 1):
-        dn = [("D", v, k) for k in range(D.infinite_down[v - 1])]
-        for e in dn:
-            elements.append(e)
-            preds[e] = set()
-            preds[("F", v)].add(e)
-        if len(dn) > 1:
-            groups.append(dn)
-        upw = [("U", v, k) for k in range(D.infinite_up[v - 1])]
-        for e in upw:
-            elements.append(e)
-            preds[e] = {("F", v)}
-        if len(upw) > 1:
-            groups.append(upw)
-    return elements, preds, groups
-
-
 def markings_count(D: FloorDiagram) -> int:
-    """Number of markings: linear extensions up to indistinguishable swaps."""
-    elements, preds, groups = _poset_elements(D)
-    index = {e: i for i, e in enumerate(elements)}
-    pred_masks = [0] * len(elements)
-    for e, ps in preds.items():
-        m = 0
-        for p in ps:
-            m |= 1 << index[p]
-        pred_masks[index[e]] = m
-    full = (1 << len(elements)) - 1
+    """Number of markings: linear extensions up to indistinguishable swaps.
 
-    @lru_cache(maxsize=None)
-    def count(mask: int) -> int:
-        if mask == full:
-            return 1
-        total = 0
-        for i in range(len(elements)):
-            bit = 1 << i
-            if not mask & bit and (pred_masks[i] & mask) == pred_masks[i]:
-                total += count(mask | bit)
-        return total
-
-    labeled = count(0)
-    count.cache_clear()
+    The sweep up the floors of the module docstring.  The pending items are
+    packed into one int, `bits` bits per due floor (floor u at bit
+    bits * (u - 1), the virtual top floor n + 1 at bits * n), and
+    levels[s] maps each packing with s pending items to its count of
+    labelled words, so a level shares one slotting factor.
+    """
+    n = D.n_floors
+    bits = (len(D.elevators) + sum(D.infinite_up)).bit_length()
+    mask = (1 << bits) - 1
+    starts = [0] * n  # packed items started at each floor
+    n_starts = [0] * n
+    for lo, up, _ in D.elevators:
+        starts[lo - 1] += 1 << bits * (up - 1)
+        n_starts[lo - 1] += 1
+    for v, k in enumerate(D.infinite_up):
+        starts[v] += k << bits * n
+        n_starts[v] += k
+    levels = [{0: 1}]
+    ahead = 0  # floors, started items and downward ends below the next floor
+    for v in range(n + 1):
+        # write pending items, largest level first, until none is due at
+        # floor v + 1; `ready` keeps the states that may stop here
+        due = bits * v
+        ready: list[dict[int, int]] = [{} for _ in levels]
+        for s in range(len(levels) - 1, 0, -1):
+            below = levels[s - 1]
+            for p, c in levels[s].items():
+                rest = p >> due
+                if not rest & mask:
+                    ready[s][p] = c
+                at = due
+                while rest:
+                    m = rest & mask
+                    if m:
+                        q = p - (1 << at)
+                        below[q] = below.get(q, 0) + c * m
+                    rest >>= bits
+                    at += bits
+        ready[0] = levels[0]  # only the empty packing, with nothing due
+        if v == n:
+            break
+        down, start = D.infinite_down[v], starts[v]
+        levels = [{} for _ in range(n_starts[v])]
+        for s, states in enumerate(ready):
+            slots = comb(ahead - s + down, down)
+            levels.append({p + start: c * slots for p, c in states.items()})
+        ahead += 1 + down + n_starts[v]
+    labeled = ready[0][0]
     sym = 1
-    for grp in groups:
-        sym *= factorial(len(grp))
+    for k in Counter(D.elevators).values():
+        sym *= factorial(k)
+    for k in D.infinite_up:
+        sym *= factorial(k)
     assert labeled % sym == 0
     return labeled // sym
 
 
-def refined_multiplicity(D: FloorDiagram) -> RefinedPoly:
-    """Product of [w]^2 over finite elevators."""
+def _weights_multiplicity(weights) -> RefinedPoly:
     mult = RefinedPoly.one()
-    for _, _, w in D.elevators:
+    for w in weights:
         q = quantum_integer(w)
         mult = mult * q * q
     return mult
 
 
+def refined_multiplicity(D: FloorDiagram) -> RefinedPoly:
+    """Product of [w]^2 over finite elevators."""
+    return _weights_multiplicity(w for _, _, w in D.elevators)
+
+
 def compute_G_floor(deg: BalancedDegree, g: int) -> RefinedPoly:
-    """Sum of nu(D) * mult(D) over all floor diagrams."""
-    total = RefinedPoly.zero()
+    """Sum of nu(D) * mult(D) over all floor diagrams, one product per weight multiset."""
+    nu: dict[tuple[int, ...], int] = {}
     for D in enumerate_diagrams(deg, g):
-        total = total + markings_count(D) * refined_multiplicity(D)
+        weights = tuple(sorted(w for _, _, w in D.elevators))
+        nu[weights] = nu.get(weights, 0) + markings_count(D)
+    total = RefinedPoly.zero()
+    for weights, count in nu.items():
+        total = total + count * _weights_multiplicity(weights)
     return total

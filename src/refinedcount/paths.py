@@ -399,7 +399,9 @@ class PathEngine:
 
     def path_id_tuples(self, g: int, kappa: int) -> Iterator[tuple[int, ...]]:
         n_steps = kappa + g - 1
-        if g < 0 or g > self.interior_count:
+        if g < 0:
+            raise ValueError(f"no valid path length: genus {g} is negative")
+        if g > self.interior_count:
             raise ValueError(
                 f"no valid path length: genus {g} exceeds the interior point count "
                 f"{self.interior_count}"

@@ -10,10 +10,11 @@ tropical geometry and use nothing from either engine.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import cmp_to_key, lru_cache
 from math import comb, factorial, gcd
 
-from refinedcount.floors import FloorDiagram, _poset_elements
+from refinedcount.floors import FloorDiagram
 
 Vec = tuple[int, int]
 
@@ -69,17 +70,66 @@ def linear_extensions_brute(n: int, pred_sets: list[frozenset[int]]) -> int:
     return rec(0)
 
 
-def markings_count_brute(D: FloorDiagram) -> int:
-    """Marking count via explicit extension enumeration, not the downset DP."""
-    elements, preds, groups = _poset_elements(D)
-    index = {e: i for i, e in enumerate(elements)}
-    pred_sets = [frozenset(index[p] for p in preds[e]) for e in elements]
-    labeled = linear_extensions_brute(len(elements), pred_sets)
+def marking_poset(D: FloorDiagram) -> tuple[list[frozenset[int]], list[int]]:
+    """The poset whose linear extensions are the markings of D.
+
+    Read off the diagram fields by the definition in the floors module
+    docstring: floors 0..n-1 form a chain, a finite elevator follows its
+    lower floor and precedes its upper one, a downward end precedes its
+    floor and an upward end follows it.  Returns each element's cover
+    predecessors and the sizes of the groups of indistinguishable elements:
+    equal finite elevators, and the downward or upward ends of one floor.
+    """
+    n = D.n_floors
+    preds: list[set[int]] = [{v - 1} if v else set() for v in range(n)]
+    for lo, up, _ in D.elevators:
+        preds.append({lo - 1})
+        preds[up - 1].add(len(preds) - 1)
+    for v in range(n):
+        for _ in range(D.infinite_down[v]):
+            preds.append(set())
+            preds[v].add(len(preds) - 1)
+        preds.extend({v} for _ in range(D.infinite_up[v]))
+    groups = [*Counter(D.elevators).values(), *D.infinite_down, *D.infinite_up]
+    return [frozenset(p) for p in preds], groups
+
+
+def _unlabel(labeled: int, groups: list[int]) -> int:
     sym = 1
-    for grp in groups:
-        sym *= factorial(len(grp))
+    for k in groups:
+        sym *= factorial(k)
     assert labeled % sym == 0
     return labeled // sym
+
+
+def markings_count_brute(D: FloorDiagram) -> int:
+    """Marking count via explicit extension enumeration."""
+    preds, groups = marking_poset(D)
+    return _unlabel(linear_extensions_brute(len(preds), preds), groups)
+
+
+def markings_count_downset(D: FloorDiagram) -> int:
+    """Marking count by a DP over the downsets of the marking poset.
+
+    A downset is a bitmask; the count from a downset sums over the minimal
+    elements outside it.  Exponential in the poset size, but it reaches the
+    17-20 element posets that brute force cannot.
+    """
+    preds, groups = marking_poset(D)
+    pred_masks = [sum(1 << p for p in ps) for ps in preds]
+    full = (1 << len(preds)) - 1
+
+    @lru_cache(maxsize=None)
+    def count(mask: int) -> int:
+        if mask == full:
+            return 1
+        return sum(
+            count(mask | 1 << i)
+            for i, m in enumerate(pred_masks)
+            if not mask >> i & 1 and m & mask == m
+        )
+
+    return _unlabel(count(0), groups)
 
 
 def floor_diagrams_brute(deg, g: int) -> list[tuple]:
@@ -140,8 +190,7 @@ def floor_diagrams_brute(deg, g: int) -> list[tuple]:
 
 
 def poset_size(D: FloorDiagram) -> int:
-    elements, _, _ = _poset_elements(D)
-    return len(elements)
+    return len(marking_poset(D)[0])
 
 
 # -- lattice point scans ----------------------------------------------------------

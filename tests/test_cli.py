@@ -86,7 +86,7 @@ def test_count_half_integer_delta_omits_minus_1(capsys):
     assert "eval(-1):" in out  # this degree still has integer powers
 
 
-def test_count_exit_codes(capsys):
+def test_count_exit_codes(capsys, isolated_cache):
     code, _, err = run(capsys, "count", "P3:d=2")
     assert code == 2
     assert "error: unrecognised degree spec" in err
@@ -94,6 +94,25 @@ def test_count_exit_codes(capsys):
     code, _, err = run(capsys, "count", "P2:d=3", "--genus", "7")
     assert code == 2
     assert "error:" in err
+
+    # a negative genus is a usage error under every subcommand, and caches nothing
+    for argv in (
+        ("count", "P2:d=3", "--engine", "floor"),
+        ("count", "P2:d=3", "--engine", "path"),
+        ("count", "P2:d=3", "--engine", "both"),
+        ("diagrams", "P2:d=3"),
+        ("paths", "P2:d=3"),
+        ("analyze", "P2:d=3"),
+        ("invariance", "P2:d=3"),
+    ):
+        code, out, err = run(capsys, *argv, "--genus", "-1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"usage: refined-count {argv[0]} ")
+        assert err.endswith(
+            f"refined-count {argv[0]}: error: argument --genus: genus must be >= 0, got -1\n"
+        )
+    assert not isolated_cache.exists()
 
     nonprimitive = "vectors:(2,0);(0,2);(-2,-2)"
     for argv in (

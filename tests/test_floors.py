@@ -25,6 +25,7 @@ from oracles import (
     floor_diagrams_brute,
     kontsevich,
     markings_count_brute,
+    markings_count_downset,
     poset_size,
 )
 
@@ -145,13 +146,28 @@ def test_genus_is_elevator_surplus():
 
 def test_markings_count_matches_brute_force():
     checked = 0
-    for deg in (p2_degree(2), p2_degree(3), p1xp1_degree(1, 2), p1xp1_degree(2, 2)):
+    for deg in (
+        p2_degree(2), p2_degree(3), p1xp1_degree(1, 2), p1xp1_degree(2, 2),
+        p1xp1_degree(2, 3), p1xp1_degree(3, 2),
+    ):
         for g in range(genus_max(deg) + 1):
             for D in enumerate_diagrams(deg, g):
                 if poset_size(D) <= 9:
                     assert markings_count(D) == markings_count_brute(D)
                     checked += 1
     assert checked >= 10
+
+
+def test_markings_count_matches_downset_reference():
+    # 17-element posets, with upward ends on several floors and parallel
+    # equal elevators: past brute force, within the downset DP's reach
+    checked = 0
+    for deg, g_top in ((p2_degree(5), 6), (p1xp1_degree(3, 4), 2), (p1xp1_degree(4, 3), 2)):
+        for g in range(g_top + 1):
+            for D in enumerate_diagrams(deg, g):
+                assert markings_count(D) == markings_count_downset(D), D
+                checked += 1
+    assert checked == 1377
 
 
 def test_diagram_json_obj():

@@ -187,9 +187,9 @@ def test_fuel_is_spent_only_on_memo_misses():
 
 def test_path_id_tuples_rejects_impossible_genus():
     engine = PathEngine(dual_polygon(p2_degree(3)), DEFAULT_ORDER)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="genus 2 exceeds the interior point count 1"):
         list(engine.path_id_tuples(2, 9))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="genus -1 is negative"):
         list(engine.path_id_tuples(-1, 9))
 
 
