@@ -38,7 +38,14 @@ from .floors import (
     markings_count,
     refined_multiplicity,
 )
-from .geometry import UnsupportedDegreeError, delta_invariant, dual_polygon, parse_degree
+from .geometry import (
+    BalancedDegree,
+    UnsupportedDegreeError,
+    delta_invariant,
+    dual_polygon,
+    genus_max,
+    parse_degree,
+)
 from .laurent import RefinedPoly
 from .paths import (
     DEFAULT_ORDER,
@@ -146,8 +153,17 @@ def _print_report(report: InvariantReport, fmt: str) -> int:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_count(args: argparse.Namespace) -> int:
+def _degree(args: argparse.Namespace) -> BalancedDegree:
+    """The spec's degree; a genus above its genus_max is a usage error."""
     deg = parse_degree(args.spec)
+    top = genus_max(deg)
+    if args.genus > top:
+        raise ValueError(f"genus {args.genus} exceeds genus_max {top} of {canonical_spec(deg)}")
+    return deg
+
+
+def cmd_count(args: argparse.Namespace) -> int:
+    deg = _degree(args)
     lam = LambdaOrder.parse(args.lam)
     if args.engine in ("path", "both"):
         _require_primitive(deg)
@@ -276,7 +292,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_diagrams(args: argparse.Namespace) -> int:
-    deg = parse_degree(args.spec)
+    deg = _degree(args)
     for D in enumerate_diagrams(deg, args.genus):
         obj = D.to_json_obj()
         obj["nu"] = markings_count(D)
@@ -286,7 +302,7 @@ def cmd_diagrams(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    deg = parse_degree(args.spec)
+    deg = _degree(args)
     _require_primitive(deg)  # enumerate_paths takes the polygon, not the degree
     lam = LambdaOrder.parse(args.lam)
     poly = dual_polygon(deg)
@@ -302,12 +318,12 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    report = analyze(parse_degree(args.spec), args.genus)
+    report = analyze(_degree(args), args.genus)
     return _print_report(report, args.format)
 
 
 def cmd_invariance(args: argparse.Namespace) -> int:
-    report = cross_validate(parse_degree(args.spec), args.genus)
+    report = cross_validate(_degree(args), args.genus)
     return _print_report(report, args.format)
 
 

@@ -86,17 +86,12 @@ def test_count_half_integer_delta_omits_minus_1(capsys):
     assert "eval(-1):" in out  # this degree still has integer powers
 
 
-def test_count_exit_codes(capsys, isolated_cache):
+def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
     code, _, err = run(capsys, "count", "P3:d=2")
     assert code == 2
     assert "error: unrecognised degree spec" in err
 
-    code, _, err = run(capsys, "count", "P2:d=3", "--genus", "7")
-    assert code == 2
-    assert "error:" in err
-
-    # a negative genus is a usage error under every subcommand, and caches nothing
-    for argv in (
+    every_genus_use = (
         ("count", "P2:d=3", "--engine", "floor"),
         ("count", "P2:d=3", "--engine", "path"),
         ("count", "P2:d=3", "--engine", "both"),
@@ -104,7 +99,9 @@ def test_count_exit_codes(capsys, isolated_cache):
         ("paths", "P2:d=3"),
         ("analyze", "P2:d=3"),
         ("invariance", "P2:d=3"),
-    ):
+    )
+    # a negative genus is a usage error under every subcommand, and caches nothing
+    for argv in every_genus_use:
         code, out, err = run(capsys, *argv, "--genus", "-1")
         assert code == 2
         assert out == ""
@@ -112,6 +109,17 @@ def test_count_exit_codes(capsys, isolated_cache):
         assert err.endswith(
             f"refined-count {argv[0]}: error: argument --genus: genus must be >= 0, got -1\n"
         )
+    # so is a genus above genus_max, whichever engine would run: none runs
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    with monkeypatch.context() as m:
+        for name in ("compute_G_floor", "compute_G_path", "enumerate_diagrams",
+                     "enumerate_paths", "analyze", "cross_validate"):
+            m.setattr(cli, name, no_engine)
+        for argv in every_genus_use:
+            code, out, err = run(capsys, *argv, "--genus", "2")
+            assert (code, out, err) == (2, "", "error: genus 2 exceeds genus_max 1 of P2:d=3\n")
     assert not isolated_cache.exists()
 
     nonprimitive = "vectors:(2,0);(0,2);(-2,-2)"

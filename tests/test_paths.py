@@ -13,6 +13,7 @@ from refinedcount.geometry import (
     genus_max,
     p1xp1_degree,
     p2_degree,
+    parse_degree,
 )
 from refinedcount.laurent import RefinedPoly
 from refinedcount.paths import (
@@ -214,3 +215,71 @@ def test_side_profiles_partition_the_classical_multiplicity(lam):
                     for e, v in weight.items():
                         total[e] = total.get(e, 0) + v
                 assert total == mu
+
+
+@pytest.mark.parametrize("spec", ["P2:d=1", "P2:d=2", "P2:d=3", "P2:d=4", "P1xP1:d=2,r=3",
+                                  "P1xP1:d=3,r=2", "P1xP1:d=3,r=3"])
+def test_backward_live_paths_equal_the_forward_ones(spec):
+    deg = parse_degree(spec)
+    for lam in all_orders():
+        engine = PathEngine(dual_polygon(deg), lam)
+        selective = engine.selective_side()
+        other = MINUS if selective == PLUS else PLUS
+        for g in range(genus_max(deg) + 1):
+            tuples = list(engine.path_id_tuples(g, deg.kappa))
+            live = {}
+            for side in (MINUS, PLUS):
+                live[side] = engine.live_paths(side, deg.kappa + g)
+                assert live[side] == [ids for ids in tuples if engine.mu_ids(ids, side)]
+            # the longer arc's side is never the larger live set
+            assert len(live[selective]) <= len(live[other])
+            # every tuple off the live sets has no multiplicity, and the live
+            # pairs alone give the count
+            both = set(live[MINUS]) & set(live[PLUS])
+            total: dict[int, int] = {}
+            for ids in tuples:
+                joint = engine.path_multiplicity(ids, g)
+                assert ids in both or joint == {}
+                for e, v in joint.items():
+                    total[e] = total.get(e, 0) + v
+            assert RefinedPoly.from_half_units(total) == compute_G_path(deg, g, lam)
+
+
+def test_selective_side_has_the_longer_arc():
+    for lam in all_orders():
+        engine = PathEngine(dual_polygon(p2_degree(5)), lam)
+        arcs = {side: len(engine._arcs[side]) for side in (MINUS, PLUS)}
+        assert sorted(arcs.values()) == [6, 11]
+        assert arcs[engine.selective_side()] == 11
+    square = PathEngine(dual_polygon(p1xp1_degree(3, 3)), DEFAULT_ORDER)
+    assert len(square._arcs[PLUS]) == len(square._arcs[MINUS])
+    assert square.selective_side() == PLUS  # ties go to plus
+
+
+def test_counts_never_walk_every_path_tuple(monkeypatch):
+    def walk(*args):
+        raise AssertionError("path_id_tuples walked")
+
+    monkeypatch.setattr(PathEngine, "path_id_tuples", walk)
+    deg = p2_degree(4)
+    lam = LambdaOrder.parse("lex:-y,+x")
+    assert compute_G_path(deg, 1, lam) == compute_G_floor(deg, 1)
+    assert delta_curve_census(deg, 1, lam)["count_top"] == 3
+
+
+def test_genus_above_genus_max_counts_zero():
+    for deg in (p2_degree(3), p2_degree(4), p1xp1_degree(2, 2)):
+        gmax = genus_max(deg)
+        for lam in all_orders():
+            assert compute_G_path(deg, gmax, lam) == RefinedPoly.one()
+            assert compute_G_path(deg, gmax + 1, lam) == RefinedPoly.zero()
+            assert compute_G_path(deg, gmax + 5, lam) == RefinedPoly.zero()
+    with pytest.raises(ValueError, match="genus -1 is negative"):
+        compute_G_path(p2_degree(3), -1)
+
+
+def test_quintic_rational_count_agrees_in_every_order():
+    deg = p2_degree(5)
+    reference = compute_G_floor(deg, 0)
+    for lam in all_orders():
+        assert compute_G_path(deg, 0, lam) == reference
