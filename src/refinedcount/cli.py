@@ -209,10 +209,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             )
             verify_failed = True
 
-    try:
-        delta = delta_invariant(args.genus, deg)
-    except ValueError:
-        delta = None
+    delta = delta_invariant(args.genus, deg)  # defined: _degree checked the genus
     eval_1 = G.evaluate(1)
     eval_m1 = G.evaluate(-1) if G.has_integer_powers() else None
 
@@ -223,7 +220,7 @@ def cmd_count(args: argparse.Namespace) -> int:
             "engine": args.engine,
             "polynomial": str(G),
             "poly": G.to_json_obj(),
-            "delta": None if delta is None else str(delta),
+            "delta": str(delta),
             "eval_at_1": eval_1,
             "eval_at_minus_1": eval_m1,
         }
@@ -241,7 +238,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 args.genus,
                 args.engine,
                 str(G),
-                "" if delta is None else delta,
+                delta,
                 eval_1,
                 "" if eval_m1 is None else eval_m1,
             ]
@@ -251,8 +248,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         print(f"genus: {args.genus}")
         print(f"engine: {args.engine}")
         print(f"G: {G}")
-        if delta is not None:
-            print(f"delta: {delta}")
+        print(f"delta: {delta}")
         print(f"eval(1): {eval_1}")
         if eval_m1 is not None:
             print(f"eval(-1): {eval_m1}")
