@@ -206,8 +206,9 @@ def analyze(deg: BalancedDegree, g: int) -> InvariantReport:
     G = compute_G_path(deg, g)
     report = structural_checks(deg, g, G)
     if g == 0 and report.delta is not None and report.delta.denominator == 1:
-        shape = h_transverse(dual_polygon(deg))
-        interior, _, _ = lattice_counts(dual_polygon(deg))
+        poly = dual_polygon(deg)
+        shape = h_transverse(poly)
+        interior, _, _ = lattice_counts(poly)
         if shape is not None and interior > 0:
             want = a_delta_minus_1_formula(shape)
             got = G.coefficient(report.delta - 1)

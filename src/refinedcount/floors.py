@@ -103,12 +103,17 @@ def classify_family(deg: BalancedDegree) -> Optional[tuple]:
 
 
 def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
-    """All floor diagrams for the degree and genus, lexicographically ordered."""
+    """All floor diagrams for the degree and genus, lexicographically ordered.
+
+    Empty above genus_max; raises ValueError for a negative genus.
+    """
     family = classify_family(deg)
     if family is None:
         raise UnsupportedDegreeError(
             "floor diagrams are implemented for the P2(d) and P1xP1(d,r) families only"
         )
+    if g < 0:
+        raise ValueError(f"no floor diagrams: genus {g} is negative")
     name, params = family
     if name == "P2":
         # each floor absorbs one unit of weight, and no infinite end goes up

@@ -17,7 +17,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, factorial
 from typing import Iterable, Optional, Sequence
 
@@ -209,7 +208,13 @@ class LatticePolygon:
         return min(xs), min(ys), max(xs), max(ys)
 
     def lattice_points(self) -> tuple[Vec, ...]:
-        return _lattice_points_of(self)
+        x0, y0, x1, y1 = self.bounding_box()
+        return tuple(
+            (x, y)
+            for x in range(x0, x1 + 1)
+            for y in range(y0, y1 + 1)
+            if self.contains((x, y))
+        )
 
 
 def convex_hull(points: Iterable[Vec]) -> list[Vec]:
@@ -228,17 +233,6 @@ def convex_hull(points: Iterable[Vec]) -> list[Vec]:
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
-
-
-@lru_cache(maxsize=None)
-def _lattice_points_of(poly: LatticePolygon) -> tuple[Vec, ...]:
-    x0, y0, x1, y1 = poly.bounding_box()
-    return tuple(
-        (x, y)
-        for x in range(x0, x1 + 1)
-        for y in range(y0, y1 + 1)
-        if poly.contains((x, y))
-    )
 
 
 def dual_polygon(deg: BalancedDegree) -> LatticePolygon:

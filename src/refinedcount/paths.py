@@ -48,8 +48,12 @@ paths live on both.  `path_id_tuples` still lists every path, for the
 `paths` command and as the reference in the tests.
 
 Recursion states repeat heavily across paths and genera, so each
-(polygon, lambda) pair owns a long-lived engine with memo tables; the
-engine and its tables are single-threaded.
+(polygon, lambda) pair owns one long-lived engine (`get_engine`), and the
+engine owns all of its state: the memo tables of the classical recursion
+and of the side profiles, the live levels of each side, and the nonzero
+joint multiplicities of each genus already counted, so a repeat count
+reads them back without splicing again.  Nothing is cached at module
+level.  The engine and its tables are single-threaded.
 """
 
 from __future__ import annotations
@@ -228,14 +232,15 @@ def _compose_reflect(links: Profile, j: int) -> Profile:
     return _canonical_profile(out)
 
 
-@lru_cache(maxsize=None)
 def _pair_b1(minus: Profile, plus: Profile) -> int:
     """First Betti number of the dual graph spliced from two side profiles.
 
     Each path edge joins its minus-side thread to its plus-side thread.  When
     both end at triangles that makes a dual edge between two components;
     both sides are forests, so b1 counts the edges whose ends are already
-    joined.
+    joined.  Not cached: few profile pairs recur within a count, and the
+    engine keeps each genus's spliced joints, so a repeat count never
+    splices again.
     """
     n = len(minus)
     parent = list(range(2 * n))  # minus component c is c, plus component c is n + c
@@ -258,8 +263,6 @@ def _pair_b1(minus: Profile, plus: Profile) -> int:
 class PathEngine:
     """Recursive multiplicity evaluator bound to one (polygon, lambda) pair."""
 
-    FUEL_LIMIT = 50_000_000
-
     def __init__(self, poly: LatticePolygon, lam: LambdaOrder):
         self.poly = poly
         self.lam = lam
@@ -280,7 +283,8 @@ class PathEngine:
                                                         MINUS: {self._arcs[MINUS]}}
         self._memo: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
         self._profiles: dict[tuple[str, tuple[int, ...]], dict[Profile, dict[int, int]]] = {}
-        self.fuel_used = 0
+        # nonzero joint multiplicities per genus; callers must not mutate them
+        self._joints: dict[int, tuple[dict[int, int], ...]] = {}
 
     def _boundary_cycle(self) -> list[Vec]:
         """All boundary lattice points in CCW order starting at vertices[0]."""
@@ -321,11 +325,6 @@ class PathEngine:
 
     # -- recursion -------------------------------------------------------------
 
-    def _burn(self) -> None:
-        self.fuel_used += 1
-        if self.fuel_used > self.FUEL_LIMIT:
-            raise RuntimeError("path recursion fuel exhausted")
-
     def _corner(self, ids: tuple[int, ...], want_positive: bool):
         """First corner poking away from the side's arc, or None."""
         xs, ys = self._xs, self._ys
@@ -347,7 +346,6 @@ class PathEngine:
         found = memo.get((side, ids))
         if found is not None:
             return found
-        self._burn()
         if ids == self._arcs[side]:
             result: dict[int, int] = _ONE
         else:
@@ -460,7 +458,6 @@ class PathEngine:
         found = memo.get((side, ids))
         if found is not None:
             return found
-        self._burn()
         if ids == self._arcs[side]:
             result = {(_B,) * (len(ids) - 1): _ONE}
         else:
@@ -483,21 +480,23 @@ class PathEngine:
         memo[(side, ids)] = result
         return result
 
-    def joint_multiplicities(self, g: int) -> Iterator[dict[int, int]]:
+    def joint_multiplicities(self, g: int) -> tuple[dict[int, int], ...]:
         """Nonzero path multiplicities of genus g, in path_id_tuples order.
 
         Only the selective side's live paths of the length are visited; the
         other side is checked forward with the memoized classical recursion.
+        The tuple is kept on the engine and shared by every later call, so
+        its dicts must not be mutated.
         """
-        if g < 0:
-            raise ValueError(f"no valid path length: genus {g} is negative")
-        side = self.selective_side()
-        other = MINUS if side == PLUS else PLUS
-        for ids in self.live_paths(side, self.kappa + g):
-            if self.mu_ids(ids, other):
-                joint = self._splice(ids, g)
-                if joint:
-                    yield joint
+        if g not in self._joints:
+            if g < 0:
+                raise ValueError(f"no valid path length: genus {g} is negative")
+            side = self.selective_side()
+            other = MINUS if side == PLUS else PLUS
+            spliced = (self._splice(ids, g) for ids in self.live_paths(side, self.kappa + g)
+                       if self.mu_ids(ids, other))
+            self._joints[g] = tuple(joint for joint in spliced if joint)
+        return self._joints[g]
 
     def path_multiplicity(self, ids: tuple[int, ...], g: int) -> dict[int, int]:
         """Joint weight of the path: deformation pairs whose dual graph has b1 == g.
@@ -524,11 +523,6 @@ class PathEngine:
                         e = e1 + e2
                         acc[e] = acc.get(e, 0) + v1 * v2
         return acc
-
-    def multiplicity(self, path: LatticePath) -> RefinedPoly:
-        """Joint multiplicity of a path; genus is implied by the path length."""
-        ids = tuple(self.id_of[pt] for pt in path.points)
-        return RefinedPoly.from_half_units(self.path_multiplicity(ids, len(ids) - self.kappa))
 
     # -- enumeration -----------------------------------------------------------
 
@@ -590,15 +584,14 @@ def delta_curve_census(
 
     count_top is the coefficient of y^delta in G; per_path_alpha lists, in
     enumeration order, the degree of each path's nonzero joint multiplicity.
+    Genus is handled as in compute_G_path: ValueError below 0, and no paths
+    (count_top 0) above genus_max.
     """
     _require_primitive(deg)
-    poly = dual_polygon(deg)
-    engine = get_engine(poly, lam)
-    delta = delta_invariant(g, deg)
-    delta_half_units = int(delta * 2)
-    count_top = 0
-    per_path_alpha: list[Fraction] = []
-    for joint in engine.joint_multiplicities(g):
-        per_path_alpha.append(Fraction(max(joint), 2))
-        count_top += joint.get(delta_half_units, 0)
-    return {"count_top": count_top, "per_path_alpha": per_path_alpha}
+    joints = get_engine(dual_polygon(deg), lam).joint_multiplicities(g)
+    # above genus_max there are no joints, and delta_invariant would raise
+    delta_half_units = int(delta_invariant(g, deg) * 2) if joints else 0
+    return {
+        "count_top": sum(joint.get(delta_half_units, 0) for joint in joints),
+        "per_path_alpha": [Fraction(max(joint), 2) for joint in joints],
+    }

@@ -135,6 +135,9 @@ def test_degenerate_and_top_genus():
         assert compute_G_floor(deg, gmax) == RefinedPoly.one()
         assert compute_G_floor(deg, gmax + 1) == RefinedPoly.zero()
         assert enumerate_diagrams(deg, gmax + 1) == []
+    for floor_call in (compute_G_floor, enumerate_diagrams):
+        with pytest.raises(ValueError, match="genus -1 is negative"):
+            floor_call(p2_degree(3), -1)
 
 
 def test_genus_is_elevator_surplus():

@@ -65,7 +65,8 @@ def test_unit_triangle_single_path():
     engine = get_engine(dual_polygon(p2_degree(1)), DEFAULT_ORDER)
     assert engine.mu(paths[0], PLUS) == 1
     assert engine.mu(paths[0], MINUS) == 1
-    assert engine.multiplicity(paths[0]) == 1
+    ids = tuple(engine.id_of[pt] for pt in paths[0].points)
+    assert RefinedPoly.from_half_units(engine.path_multiplicity(ids, 0)) == 1
 
 
 def test_cubic_path_counts():
@@ -130,8 +131,8 @@ def test_per_path_joint_multiplicities_are_structured():
     engine = get_engine(poly, DEFAULT_ORDER)
     delta = delta_invariant(1, deg)
     seen_nonzero = 0
-    for path in enumerate_paths(poly, 1):
-        joint = engine.multiplicity(path)
+    for ids in engine.path_id_tuples(1, engine.kappa):
+        joint = RefinedPoly.from_half_units(engine.path_multiplicity(ids, 1))
         if not joint:
             continue
         seen_nonzero += 1
@@ -165,25 +166,25 @@ def test_census_examples():
     assert all(isinstance(a, Fraction) for a in census["per_path_alpha"])
 
 
-def test_fuel_counter_aborts_runaway_recursion(monkeypatch):
-    monkeypatch.setattr(PathEngine, "FUEL_LIMIT", 3)
-    engine = PathEngine(dual_polygon(p2_degree(3)), DEFAULT_ORDER)
-    with pytest.raises(RuntimeError):
-        for ids in engine.path_id_tuples(0, 9):
-            engine.path_multiplicity(ids, 0)
-
-
-def test_fuel_is_spent_only_on_memo_misses():
+def test_repeat_counts_are_served_by_the_engine(monkeypatch):
     deg = p2_degree(4)
+    genera = range(genus_max(deg) + 1)
     engine = get_engine(dual_polygon(deg), DEFAULT_ORDER)
-    spent = []
-    for _ in range(3):
-        for g in range(genus_max(deg) + 1):
-            compute_G_path(deg, g)
-        # one unit per new memo entry: repeated counts on a cached engine are free
-        assert engine.fuel_used == len(engine._memo) + len(engine._profiles)
-        spent.append(engine.fuel_used)
-    assert spent[0] == spent[1] == spent[2]
+
+    def one_round():
+        return [(compute_G_path(deg, g), delta_curve_census(deg, g)) for g in genera]
+
+    first = one_round()
+    sizes = (len(engine._memo), len(engine._profiles))
+
+    def splice(*args):
+        raise AssertionError("a repeat count spliced again")
+
+    # repeat counts read each genus's joints back from the engine
+    monkeypatch.setattr(PathEngine, "_splice", splice)
+    for _ in range(2):
+        assert one_round() == first
+        assert (len(engine._memo), len(engine._profiles)) == sizes
 
 
 def test_path_id_tuples_rejects_impossible_genus():
@@ -274,8 +275,10 @@ def test_genus_above_genus_max_counts_zero():
             assert compute_G_path(deg, gmax, lam) == RefinedPoly.one()
             assert compute_G_path(deg, gmax + 1, lam) == RefinedPoly.zero()
             assert compute_G_path(deg, gmax + 5, lam) == RefinedPoly.zero()
-    with pytest.raises(ValueError, match="genus -1 is negative"):
-        compute_G_path(p2_degree(3), -1)
+            assert delta_curve_census(deg, gmax + 1, lam) == {"count_top": 0, "per_path_alpha": []}
+    for count in (compute_G_path, delta_curve_census):
+        with pytest.raises(ValueError, match="genus -1 is negative"):
+            count(p2_degree(3), -1)
 
 
 def test_quintic_rational_count_agrees_in_every_order():
