@@ -290,7 +290,9 @@ def delta_invariant(g: int, deg: BalancedDegree) -> Fraction:
     """
     poly = dual_polygon(deg)
     interior, boundary, _ = lattice_counts(poly)
-    if g < 0 or g > interior:
+    if g < 0:
+        raise ValueError(f"genus {g} is negative")
+    if g > interior:
         raise ValueError(
             f"genus {g} too large: the dual polygon has {interior} interior points"
         )

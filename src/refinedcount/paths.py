@@ -42,18 +42,20 @@ The pass runs on the selective side, the one whose arc has more lattice
 points (plus on a tie): a longer arc leaves less room for a completed
 deformation, so that side's live set is the small one (on P2(5), in every
 order, 1833 live paths of length kappa against 20950 on the other side).
-Its live paths of the wanted length are then checked forward on the other
-side by the memoized classical recursion, and profiles are built only for
-paths live on both.  `path_id_tuples` still lists every path, for the
-`paths` command and as the reference in the tests.
+A count visits only its live paths of the wanted length.  The other side
+is dead exactly when it has no profile, so its profiles are built first,
+and the selective side's only for paths live on both.  `path_id_tuples`
+and the classical recursion `mu_ids` serve the `paths` command and the
+tests as the reference; no count calls them.
 
 Recursion states repeat heavily across paths and genera, so each
 (polygon, lambda) pair owns one long-lived engine (`get_engine`), and the
-engine owns all of its state: the memo tables of the classical recursion
-and of the side profiles, the live levels of each side, and the nonzero
-joint multiplicities of each genus already counted, so a repeat count
-reads them back without splicing again.  Nothing is cached at module
-level.  The engine and its tables are single-threaded.
+engine owns all of its state: the memo tables of the side profiles (a dead
+entry holds one shared empty dict) and of the classical recursion, the
+live levels of each side, and the nonzero joint multiplicities of each
+genus already counted, so a repeat count reads them back without splicing
+again.  Nothing is cached at module level.  The engine and its tables are
+single-threaded.
 """
 
 from __future__ import annotations
@@ -201,6 +203,9 @@ _B = -1
 
 Profile = tuple[int, ...]
 
+# the profiles of every dead side, memoized as one shared dict: never mutate
+_DEAD: dict[Profile, dict[int, int]] = {}
+
 
 def _canonical_profile(links: list[int]) -> Profile:
     relabel: dict[int, int] = {}
@@ -276,6 +281,8 @@ class PathEngine:
         self.kappa = counts[1]
         # base-case targets: the full boundary arcs as lambda-sorted id tuples
         self._arcs = {PLUS: self._arc_ids(ccw=False), MINUS: self._arc_ids(ccw=True)}
+        plus_longer = len(self._arcs[PLUS]) >= len(self._arcs[MINUS])
+        self._selective, self._other = (PLUS, MINUS) if plus_longer else (MINUS, PLUS)
         # live paths found backwards from each arc: one set per length, from
         # the arc's up, plus the parents already found one point longer
         self._levels: dict[str, list[set[tuple[int, ...]]]] = {PLUS: [], MINUS: []}
@@ -370,17 +377,21 @@ class PathEngine:
     def selective_side(self) -> str:
         """The side whose arc has more lattice points (plus on a tie): the one
         with the fewer live paths, so the one to generate backwards."""
-        return PLUS if len(self._arcs[PLUS]) >= len(self._arcs[MINUS]) else MINUS
+        return self._selective
 
     def live_paths(self, side: str, n: int) -> list[tuple[int, ...]]:
         """The side's live paths (mu != 0) of n points, in path_id_tuples order."""
+        return sorted(self._level(side, n))
+
+    def _level(self, side: str, n: int) -> set[tuple[int, ...]] | frozenset:
+        """The side's live paths of n points as a set, grown on demand."""
         levels = self._levels[side]
         i = n - len(self._arcs[side])
         if i < 0 or n > len(self.points):
-            return []
+            return frozenset()
         while len(levels) <= i:
             self._grow(side)
-        return sorted(levels[i])
+        return levels[i]
 
     def _grow(self, side: str) -> None:
         """Close the pending parents under inverse reflects: the next level."""
@@ -445,13 +456,6 @@ class PathEngine:
             j += 1
         return same
 
-    def _is_live(self, ids: tuple[int, ...], side: str) -> bool:
-        i = len(ids) - len(self._arcs[side])
-        levels = self._levels[side]
-        if 0 <= i < len(levels):
-            return ids in levels[i]
-        return bool(self.mu_ids(ids, side))
-
     def side_profiles(self, ids: tuple[int, ...], side: str) -> dict[Profile, dict[int, int]]:
         """Completed deformations of one side, grouped by connectivity profile."""
         memo = self._profiles
@@ -465,57 +469,48 @@ class PathEngine:
             corner = self._corner(ids, side == PLUS)
             if corner is not None:
                 j, m, rid = corner
-                # a dead child has no profile: skip its recursion
-                cut = ids[:j] + ids[j + 1:]
-                if self._is_live(cut, side):
-                    for prof, weight in self.side_profiles(cut, side).items():
-                        stacked = _compose_cut(prof, j)
-                        result[stacked] = _add(result.get(stacked, {}), _mul_quantum(weight, m))
+                for prof, weight in self.side_profiles(ids[:j] + ids[j + 1:], side).items():
+                    stacked = _compose_cut(prof, j)
+                    result[stacked] = _add(result.get(stacked, {}), _mul_quantum(weight, m))
                 if rid is not None:
-                    reflected = ids[:j] + (rid,) + ids[j + 1:]
-                    if self._is_live(reflected, side):
-                        for prof, weight in self.side_profiles(reflected, side).items():
-                            stacked = _compose_reflect(prof, j)
-                            result[stacked] = _add(result.get(stacked, {}), weight)
-        memo[(side, ids)] = result
+                    for prof, weight in self.side_profiles(ids[:j] + (rid,) + ids[j + 1:], side).items():
+                        stacked = _compose_reflect(prof, j)
+                        result[stacked] = _add(result.get(stacked, {}), weight)
+        memo[(side, ids)] = result = result or _DEAD
         return result
 
     def joint_multiplicities(self, g: int) -> tuple[dict[int, int], ...]:
         """Nonzero path multiplicities of genus g, in path_id_tuples order.
 
-        Only the selective side's live paths of the length are visited; the
-        other side is checked forward with the memoized classical recursion.
-        The tuple is kept on the engine and shared by every later call, so
-        its dicts must not be mutated.
+        Only the selective side's live paths of the length are visited.  The
+        tuple is kept on the engine and shared by every later call, so its
+        dicts must not be mutated.
         """
         if g not in self._joints:
             if g < 0:
                 raise ValueError(f"no valid path length: genus {g} is negative")
-            side = self.selective_side()
-            other = MINUS if side == PLUS else PLUS
-            spliced = (self._splice(ids, g) for ids in self.live_paths(side, self.kappa + g)
-                       if self.mu_ids(ids, other))
-            self._joints[g] = tuple(joint for joint in spliced if joint)
+            joints = (self.path_multiplicity(ids, g)
+                      for ids in self.live_paths(self._selective, self.kappa + g))
+            self._joints[g] = tuple(joint for joint in joints if joint)
         return self._joints[g]
 
     def path_multiplicity(self, ids: tuple[int, ...], g: int) -> dict[int, int]:
         """Joint weight of the path: deformation pairs whose dual graph has b1 == g.
 
-        Correct on any tuple: a dead side (mu == {}) has no profile, and the
-        classical recursion that says so is far cheaper than building the
-        other side's profiles.
+        Correct on any tuple.  A tuple off the selective side's live level is
+        dead there and weighs nothing.  Otherwise the other side's profiles
+        come first, and the selective side's are built only if the other
+        side is live too.
         """
-        if not (self.mu_ids(ids, MINUS) and self.mu_ids(ids, PLUS)):
+        if ids not in self._level(self._selective, len(ids)):
             return {}
-        return self._splice(ids, g)
-
-    def _splice(self, ids: tuple[int, ...], g: int) -> dict[int, int]:
-        """path_multiplicity of a path already known to be live on both sides."""
-        minus = self.side_profiles(ids, MINUS)
-        plus = self.side_profiles(ids, PLUS)
+        profiles = {self._other: self.side_profiles(ids, self._other)}
+        if not profiles[self._other]:
+            return {}
+        profiles[self._selective] = self.side_profiles(ids, self._selective)
         acc: dict[int, int] = {}
-        for prof_m, wm in minus.items():
-            for prof_p, wp in plus.items():
+        for prof_m, wm in profiles[MINUS].items():
+            for prof_p, wp in profiles[PLUS].items():
                 if _pair_b1(prof_m, prof_p) != g:
                     continue
                 for e1, v1 in wm.items():

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from refinedcount.curves import (
     vertex_real_mult,
     vertex_refined_mult,
 )
-from refinedcount.geometry import p2_degree, parse_degree
+from refinedcount.geometry import cross, p2_degree, parse_degree
 from refinedcount.laurent import RefinedPoly, quantum_integer
 from oracles import triangle_interior_brute
 
@@ -93,6 +94,44 @@ def test_vertex_interior_points_match_brute_force(u1, u2):
         return
     star = VertexStar(u1, u2, u3)
     assert vertex_interior_points(star) == triangle_interior_brute(u1, u2)
+
+
+def test_four_valent_vertex_resolutions_obey_the_local_identity():
+    """A 4-valent vertex with outgoing a, b, c, d (in CCW order) resolves into
+    two trivalent vertices in three pairings (ij|kl), each weighing
+    [|det(i,j)|] * [|det(k,l)|].  One pairing weighs the other two together,
+    and the sign of det(a,c) * det(b,d) says which; the crossing pairing
+    (ac|bd) is never that one.  At y=1 this is the Plücker relation."""
+
+    def weight(u, v):
+        return vertex_refined_mult(VertexStar(u, v, (-u[0] - v[0], -u[1] - v[1])))
+
+    # every balanced 4-tuple in [-4, 4]^2 with no zero determinant, once each:
+    # a has the least angle and the angles rise from a to d
+    vecs = sorted(((x, y) for x in range(-4, 5) for y in range(-4, 5) if (x, y) != (0, 0)),
+                  key=lambda v: math.atan2(v[1], v[0]))
+    rank = {v: n for n, v in enumerate(vecs)}
+    seen = 0
+    for i, a in enumerate(vecs):
+        for j in range(i + 1, len(vecs)):
+            b = vecs[j]
+            for k in range(j + 1, len(vecs)):
+                c = vecs[k]
+                d = (-a[0] - b[0] - c[0], -a[1] - b[1] - c[1])
+                if rank.get(d, -1) <= k:
+                    continue
+                quad = (a, b, c, d)
+                if any(cross(u, v) == 0 for n, u in enumerate(quad) for v in quad[n + 1:]):
+                    continue
+                seen += 1
+                ab, ac, ad = (weight(a, b) * weight(c, d), weight(a, c) * weight(b, d),
+                              weight(a, d) * weight(b, c))
+                assert ac != ab + ad
+                if cross(a, c) * cross(b, d) > 0:
+                    assert ab == ac + ad
+                else:
+                    assert ad == ab + ac
+    assert seen == 6112
 
 
 def test_validation_stage_connectivity():

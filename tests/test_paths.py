@@ -15,6 +15,7 @@ from refinedcount.geometry import (
     p2_degree,
     parse_degree,
 )
+from refinedcount import paths
 from refinedcount.laurent import RefinedPoly
 from refinedcount.paths import (
     DEFAULT_ORDER,
@@ -181,7 +182,7 @@ def test_repeat_counts_are_served_by_the_engine(monkeypatch):
         raise AssertionError("a repeat count spliced again")
 
     # repeat counts read each genus's joints back from the engine
-    monkeypatch.setattr(PathEngine, "_splice", splice)
+    monkeypatch.setattr(PathEngine, "path_multiplicity", splice)
     for _ in range(2):
         assert one_round() == first
         assert (len(engine._memo), len(engine._profiles)) == sizes
@@ -261,7 +262,14 @@ def test_counts_never_walk_every_path_tuple(monkeypatch):
     def walk(*args):
         raise AssertionError("path_id_tuples walked")
 
+    def classical(*args):
+        raise AssertionError("the classical recursion ran on the count path")
+
     monkeypatch.setattr(PathEngine, "path_id_tuples", walk)
+    # liveness on the other side comes from its profiles alone
+    monkeypatch.setattr(PathEngine, "mu_ids", classical)
+    # a fresh engine, so earlier tests' cached joints cannot hide a walk
+    monkeypatch.setattr(paths, "get_engine", PathEngine)
     deg = p2_degree(4)
     lam = LambdaOrder.parse("lex:-y,+x")
     assert compute_G_path(deg, 1, lam) == compute_G_floor(deg, 1)
