@@ -78,14 +78,11 @@ def structural_checks(deg: BalancedDegree, g: int, G: RefinedPoly) -> InvariantR
         delta = delta_invariant(g, deg)
     except ValueError:
         delta = None
+    symmetric = G.is_symmetric()
+    nonnegative = all(v >= 0 for _, v in G.terms())
     checks = [
-        _check("symmetric under y -> 1/y", True, G.is_symmetric(), G.is_symmetric()),
-        _check(
-            "nonnegative coefficients",
-            True,
-            all(v >= 0 for _, v in G.terms()),
-            all(v >= 0 for _, v in G.terms()),
-        ),
+        _check("symmetric under y -> 1/y", True, symmetric, symmetric),
+        _check("nonnegative coefficients", True, nonnegative, nonnegative),
     ]
     if G != RefinedPoly.zero() and delta is not None:
         checks.append(_check("degree equals delta", delta, G.degree(), G.degree() == delta))

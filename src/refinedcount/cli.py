@@ -46,7 +46,7 @@ from .geometry import (
     genus_max,
     parse_degree,
 )
-from .laurent import RefinedPoly
+from .laurent import RefinedPoly, _json_int
 from .paths import (
     DEFAULT_ORDER,
     MINUS,
@@ -95,8 +95,11 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
             try:
                 obj = json.loads(line)
                 RefinedPoly.from_json_obj(obj["poly"])
-                key = (obj["spec"], int(obj["genus"]), obj["engine"])
-                hash(key)  # a list-valued spec or engine raises TypeError
+                # only what append_cache writes: a bool or float would pass int() or ==
+                key = (obj["spec"], _json_int(obj["genus"]), obj["engine"])
+                _json_int(obj.get("version", 0))
+                if not (isinstance(key[0], str) and isinstance(key[2], str)):
+                    raise TypeError("spec and engine must be strings")
             except (ValueError, KeyError, TypeError) as exc:
                 print(
                     f"warning: {path}:{lineno}: skipping corrupt cache line ({exc})",

@@ -26,7 +26,7 @@ from math import gcd
 from typing import Optional
 
 from .geometry import BalancedDegree, Vec, cross, delta_invariant
-from .laurent import RefinedPoly, quantum_integer
+from .laurent import RefinedPoly, _json_int, quantum_integer
 
 
 class CurveValidationError(ValueError):
@@ -217,13 +217,13 @@ class CurveCombinatorics:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CurveCombinatorics":
         try:
-            vids = [int(v["id"]) for v in obj["vertices"]]
+            vids = [_json_int(v["id"]) for v in obj["vertices"]]
             edges = []
             for rec in obj["edges"]:
                 head = rec["to"]
-                head = None if head == "inf" else int(head)
-                dx, dy = rec["dir"]
-                edges.append(CurveEdge(int(rec["from"]), head, (int(dx), int(dy)), int(rec["weight"])))
+                head = None if head == "inf" else _json_int(head)
+                dx, dy = map(_json_int, rec["dir"])
+                edges.append(CurveEdge(_json_int(rec["from"]), head, (dx, dy), _json_int(rec["weight"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed curve JSON: {exc}") from exc
         return cls(vids, edges)

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, factorial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 Vec = tuple[int, int]
 
@@ -69,16 +69,17 @@ def ccw_direction_sort(vs: Iterable[Vec]) -> list[Vec]:
     return sorted(vs, key=_direction_key)
 
 
+@dataclass(frozen=True, slots=True)
 class BalancedDegree:
     """A balanced multiset of nonzero integer vectors spanning the plane.
 
     Stored canonically (sorted), so equal multisets compare and hash equal.
     """
 
-    __slots__ = ("vectors",)
+    vectors: tuple[Vec, ...]
 
-    def __init__(self, vectors: Iterable[Vec]):
-        vs = tuple(sorted((int(x), int(y)) for x, y in vectors))
+    def __post_init__(self):
+        vs = tuple(sorted((int(x), int(y)) for x, y in self.vectors))
         if any(v == (0, 0) for v in vs):
             raise DegreeError("degree contains a zero vector")
         if len(vs) < 3:
@@ -91,18 +92,6 @@ class BalancedDegree:
         if all(cross(first, v) == 0 for v in vs[1:]):
             raise DegreeError("not full-dimensional")
         object.__setattr__(self, "vectors", vs)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("BalancedDegree is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BalancedDegree) and self.vectors == other.vectors
-
-    def __hash__(self) -> int:
-        return hash(self.vectors)
-
-    def __repr__(self) -> str:
-        return f"BalancedDegree({list(self.vectors)!r})"
 
     @property
     def kappa(self) -> int:
@@ -130,6 +119,7 @@ class BalancedDegree:
         return "vectors:" + ";".join(parts)
 
 
+@dataclass(frozen=True, slots=True)
 class LatticePolygon:
     """Strictly convex lattice polygon, canonical translate, CCW vertex order.
 
@@ -139,10 +129,10 @@ class LatticePolygon:
     non-convexity) are rejected.
     """
 
-    __slots__ = ("vertices",)
+    vertices: tuple[Vec, ...]
 
-    def __init__(self, vertices: Sequence[Vec]):
-        vs = [(int(x), int(y)) for x, y in vertices]
+    def __post_init__(self):
+        vs = [(int(x), int(y)) for x, y in self.vertices]
         if len(vs) < 3:
             raise PolygonError("a polygon needs at least three vertices")
         area2 = sum(cross(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
@@ -162,18 +152,6 @@ class LatticePolygon:
         start = min(range(n), key=lambda i: vs[i])
         vs = vs[start:] + vs[:start]
         object.__setattr__(self, "vertices", tuple(vs))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LatticePolygon is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticePolygon) and self.vertices == other.vertices
-
-    def __hash__(self) -> int:
-        return hash(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"LatticePolygon({list(self.vertices)!r})"
 
     @classmethod
     def from_points(cls, points: Iterable[Vec]) -> "LatticePolygon":

@@ -10,18 +10,70 @@ polynomial as a dict mapping exponent-in-half-units (an int: the key ``e``
 stands for the power y^(e/2)) to a nonzero integer coefficient.  All
 arithmetic is plain integer arithmetic on these dicts; no floats anywhere.
 
-Coefficients of the polynomials produced by the engines are always positive,
-but this class allows any nonzero integers so intermediate expressions and
-test constructions are unconstrained.
+The raw kernels `_ONE`, `_add`, `_mul` and `_mul_quantum` do this arithmetic
+for both engines: the floor engine through `RefinedPoly`, which wraps them,
+and the lattice-path engine directly on the dicts in its hot loops.
+Coefficients of the polynomials produced by the engines are always positive.
+`_add`, `_mul` and `RefinedPoly` allow any nonzero integers, so intermediate
+expressions and test constructions are unconstrained; `_mul_quantum`, which
+runs in the path engine's innermost recursion, takes nonnegative coefficients
+only, so its sums never cancel and it skips the zero test.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
 HalfExp = Union[int, Fraction]
+
+# -- raw kernels on half-unit dicts: arguments and results hold no zero
+# coefficient, and a kernel may return an argument as it is, so a dict passed
+# in or handed back must never be mutated.
+
+_ONE: dict[int, int] = {0: 1}
+
+
+def _add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for e, v in b.items():
+        nv = out.get(e, 0) + v
+        if nv:
+            out[e] = nv
+        else:
+            del out[e]
+    return out
+
+
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            nv = out.get(e, 0) + v1 * v2
+            if nv:
+                out[e] = nv
+            else:
+                del out[e]
+    return out
+
+
+def _mul_quantum(poly: dict[int, int], m: int) -> dict[int, int]:
+    """poly * [m]_y, for m >= 1 and poly with nonnegative coefficients."""
+    if m == 1:
+        return poly
+    out: dict[int, int] = {}
+    for shift in range(m - 1, -m, -2):
+        for e, v in poly.items():
+            k = e + shift
+            out[k] = out.get(k, 0) + v
+    return out
 
 
 def _to_half_units(exponent: HalfExp) -> int:
@@ -30,6 +82,13 @@ def _to_half_units(exponent: HalfExp) -> int:
     if doubled.denominator != 1:
         raise ValueError(f"exponent {exponent!r} is not a half-integer")
     return int(doubled)
+
+
+def _json_int(x) -> int:
+    """x if it is a JSON integer; int() would truncate a float or pass a bool."""
+    if type(x) is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
 
 
 class RefinedPoly:
@@ -104,14 +163,7 @@ class RefinedPoly:
             other = RefinedPoly.constant(other)
         if not isinstance(other, RefinedPoly):
             return NotImplemented
-        c = dict(self._c)
-        for e, v in other._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        return RefinedPoly.from_half_units(c)
+        return RefinedPoly.from_half_units(_add(self._c, other._c))
 
     __radd__ = __add__
 
@@ -127,16 +179,7 @@ class RefinedPoly:
             return RefinedPoly.from_half_units({e: v * other for e, v in self._c.items()} if other else {})
         if not isinstance(other, RefinedPoly):
             return NotImplemented
-        c: dict[int, int] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                nv = c.get(e, 0) + v1 * v2
-                if nv:
-                    c[e] = nv
-                else:
-                    del c[e]
-        return RefinedPoly.from_half_units(c)
+        return RefinedPoly.from_half_units(_mul(self._c, other._c))
 
     __rmul__ = __mul__
 
@@ -230,15 +273,17 @@ class RefinedPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable) -> "RefinedPoly":
+        """Inverse of to_json_obj, accepting only its form: [int, decimal string]
+        pairs, so a bool or float is rejected rather than truncated."""
         c: dict[int, int] = {}
         for pair in obj:
             e, v = pair
-            e = int(e)
-            v = int(v)
+            e = _json_int(e)
+            if not isinstance(v, str) or not re.fullmatch(r"-?[1-9][0-9]*", v):
+                raise ValueError(f"malformed polynomial term {pair!r}")
             if e in c:
                 raise ValueError(f"duplicate exponent {e} in polynomial JSON")
-            if v:
-                c[e] = v
+            c[e] = int(v)
         return cls.from_half_units(c)
 
     @classmethod
@@ -254,5 +299,4 @@ def quantum_integer(m: int) -> RefinedPoly:
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"quantum integer needs a positive integer, got {m!r}")
-    # exponent in half-units runs m-1, m-3, ..., 1-m
-    return RefinedPoly.from_half_units({m - 1 - 2 * i: 1 for i in range(m)})
+    return RefinedPoly.from_half_units(_mul_quantum(_ONE, m))

@@ -78,41 +78,10 @@ from .geometry import (
     primitive,
     vsub,
 )
-from .laurent import RefinedPoly
+from .laurent import _ONE, RefinedPoly, _add, _mul, _mul_quantum
 
 PLUS = "plus"
 MINUS = "minus"
-
-# dict-based Laurent arithmetic for the hot recursion (exponents in half-units)
-_ONE: dict[int, int] = {0: 1}
-
-
-def _mul_quantum(poly: dict[int, int], m: int) -> dict[int, int]:
-    """poly * [m]_y on raw half-unit dicts."""
-    if m == 1:
-        return poly
-    out: dict[int, int] = {}
-    for shift in range(m - 1, -m, -2):
-        for e, v in poly.items():
-            k = e + shift
-            out[k] = out.get(k, 0) + v
-    return out
-
-
-def _add(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = dict(a)
-    for e, v in b.items():
-        nv = out.get(e, 0) + v
-        if nv:
-            out[e] = nv
-        else:
-            del out[e]
-    return out
-
 
 @dataclass(frozen=True)
 class LambdaOrder:
@@ -508,15 +477,15 @@ class PathEngine:
         if not profiles[self._other]:
             return {}
         profiles[self._selective] = self.side_profiles(ids, self._selective)
+        # distributive: one product per minus profile, over its genus-g partners
         acc: dict[int, int] = {}
         for prof_m, wm in profiles[MINUS].items():
-            for prof_p, wp in profiles[PLUS].items():
-                if _pair_b1(prof_m, prof_p) != g:
-                    continue
-                for e1, v1 in wm.items():
-                    for e2, v2 in wp.items():
-                        e = e1 + e2
-                        acc[e] = acc.get(e, 0) + v1 * v2
+            wp: dict[int, int] = {}
+            for prof_p, w in profiles[PLUS].items():
+                if _pair_b1(prof_m, prof_p) == g:
+                    wp = _add(wp, w)
+            if wp:
+                acc = _add(acc, _mul(wm, wp))
         return acc
 
     # -- enumeration -----------------------------------------------------------

@@ -212,14 +212,33 @@ def test_count_verify_cache(capsys, isolated_cache):
 
 
 def test_count_skips_corrupt_cache_lines(capsys, isolated_cache):
-    unhashable = {"spec": "P2:d=3", "genus": 0, "engine": ["path"], "poly": [[0, "1"]]}
-    isolated_cache.write_text('{"bad json\nnot even json\n' + json.dumps(unhashable) + "\n")
+    def entry(**fields):
+        good = {"version": cli.CACHE_VERSION, "spec": "P2:d=3", "genus": 0, "engine": "path",
+                "poly": [[0, "99"]]}
+        return json.dumps({**good, **fields})
+
+    lines = [
+        '{"bad json',
+        "not even json",
+        # corrupt, not stale: the type checks come before the version filter
+        json.dumps({"spec": "P2:d=3", "genus": 0, "engine": ["path"], "poly": [[0, "1"]]}),
+        entry(engine=["path"]),
+        # a bool or float must not pass for an int and serve another key
+        entry(genus=True),
+        entry(version=True, genus=0.9),
+        entry(poly=[[1.9, "1"], [0, 10.7], [-1, True]]),
+    ]
+    isolated_cache.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "count", "P2:d=3")
     assert code == 0
     assert "G: y+10+y^-1" in out
-    assert err.count("skipping corrupt cache line") == 3
-    # the fresh result is appended after the corrupt lines
-    assert len(isolated_cache.read_text().splitlines()) == 4
+    assert err.count("skipping corrupt cache line") == 7
+    code, out, err = run(capsys, "count", "P2:d=3", "--genus", "1")
+    assert code == 0
+    assert "G: 1\n" in out
+    assert err.count("skipping corrupt cache line") == 7
+    # the fresh results are appended after the corrupt lines
+    assert len(isolated_cache.read_text().splitlines()) == 9
 
 
 def test_count_both_never_trusts_cache(capsys, isolated_cache):

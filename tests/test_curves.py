@@ -200,6 +200,12 @@ def test_from_json_rejects_malformed_input():
         CurveCombinatorics.from_json("{}")
     with pytest.raises(ValueError):
         CurveCombinatorics.from_json('{"vertices": [{"id": 0}], "edges": [{}]}')
+    # a float or bool is rejected, not truncated to an int
+    obj = json.loads((DATA_DIR / "delta3_weight2_edge.json").read_text())
+    for bad in (2.9, True, 2.0):
+        obj["edges"][0]["weight"] = bad
+        with pytest.raises(ValueError, match="malformed curve JSON"):
+            CurveCombinatorics.from_json_obj(obj)
 
 
 def test_fixture_expected_values():

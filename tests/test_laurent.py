@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from refinedcount.laurent import RefinedPoly, quantum_integer
+from refinedcount.laurent import RefinedPoly, _mul_quantum, quantum_integer
 
 polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6).map(
     RefinedPoly.from_half_units
@@ -53,6 +53,15 @@ def test_quantum_integer_structure(m):
     else:
         with pytest.raises(ValueError):
             q.evaluate(-1)
+
+
+@given(st.dictionaries(st.integers(-6, 6), st.integers(1, 9), max_size=6), st.integers(1, 9))
+def test_mul_quantum_kernel_is_the_product_with_quantum_integer(c, m):
+    # the shift-and-add kernel, which takes positive coefficients only,
+    # against the general product kernel
+    product = _mul_quantum(c, m)
+    assert 0 not in product.values()
+    assert RefinedPoly.from_half_units(product) == RefinedPoly.from_half_units(c) * quantum_integer(m)
 
 
 @given(polys, polys, polys)

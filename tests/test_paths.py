@@ -242,6 +242,15 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
             for ids in tuples:
                 joint = engine.path_multiplicity(ids, g)
                 assert ids in both or joint == {}
+                # the distributive splice equals the sum over genus-g profile pairs
+                pairwise = sum(
+                    (RefinedPoly.from_half_units(wm) * RefinedPoly.from_half_units(wp)
+                     for pm, wm in engine.side_profiles(ids, MINUS).items()
+                     for pp, wp in engine.side_profiles(ids, PLUS).items()
+                     if paths._pair_b1(pm, pp) == g),
+                    RefinedPoly.zero(),
+                )
+                assert RefinedPoly.from_half_units(joint) == pairwise
                 for e, v in joint.items():
                     total[e] = total.get(e, 0) + v
             assert RefinedPoly.from_half_units(total) == compute_G_path(deg, g, lam)
