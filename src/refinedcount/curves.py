@@ -112,6 +112,15 @@ def vertex_refined_mult(star: VertexStar) -> RefinedPoly:
     return quantum_integer(vertex_complex_mult(star))
 
 
+def _require_ints(stage: str, what: str, *values) -> None:
+    """Raise unless every value is an int: a bool or a float is not one."""
+    try:
+        for x in values:
+            _json_int(x)
+    except ValueError as exc:
+        raise CurveValidationError(stage, f"{what}: {exc}") from None
+
+
 class CurveCombinatorics:
     """Validated combinatorial curve.  Immutable after construction.
 
@@ -122,12 +131,14 @@ class CurveCombinatorics:
     __slots__ = ("vertex_ids", "edges")
 
     def __init__(self, vertex_ids, edges):
-        vids = tuple(int(v) for v in vertex_ids)
+        vids = tuple(vertex_ids)
         es = tuple(edges)
+        _require_ints("connectivity", "vertex id", *vids)
         if len(set(vids)) != len(vids):
             raise CurveValidationError("connectivity", "duplicate vertex ids")
         idset = set(vids)
         for e in es:
+            _require_ints("connectivity", f"edge {e}", *(v for v in (e.tail, e.head) if v is not None))
             if e.tail not in idset or (e.head is not None and e.head not in idset):
                 raise CurveValidationError("connectivity", f"edge {e} references an unknown vertex")
         object.__setattr__(self, "vertex_ids", vids)
@@ -168,11 +179,12 @@ class CurveCombinatorics:
         # germ data: primitive directions, positive integer weights
         for e in self.edges:
             dx, dy = e.direction
+            _require_ints("germ", f"edge at vertex {e.tail}", dx, dy, e.weight)
             if (dx, dy) == (0, 0):
                 raise CurveValidationError("germ", f"edge at vertex {e.tail} has zero direction")
             if gcd(abs(dx), abs(dy)) != 1:
                 raise CurveValidationError("germ", f"direction {e.direction} is not primitive")
-            if not isinstance(e.weight, int) or e.weight < 1:
+            if e.weight < 1:
                 raise CurveValidationError("germ", f"weight {e.weight!r} is not a positive integer")
         # balancing
         for v in self.vertex_ids:

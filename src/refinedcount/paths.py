@@ -26,7 +26,7 @@ contributes to G(g, deg) exactly when b1 == g, with weight the product of
 the quantum integers of all triangles on both sides.  Summing
 mu_plus * mu_minus instead would also count pairs of the wrong genus, so
 the engine tracks a per-side connectivity profile (how the open threads of
-the side's dual graph cross the path edges, one int link per edge) and
+the side's dual graph cross the path edges, one byte per edge) and
 splices profile pairs to evaluate b1 without re-walking cells.  Each side's
 dual graph is a forest, so the links alone fix b1.
 
@@ -153,32 +153,36 @@ class LatticePath:
 #
 # A profile summarises how the threads of a side's dual graph meet the
 # current path: links[i] describes the open thread crossing path edge i, as
-# an int:
-#   B = -1        the thread runs off to the polygon boundary (an unbounded end)
-#   C(c) = c >= 0 the thread ends at a triangle in component c
-# Component ids are canonical (numbered by first appearance among the links),
-# so deformations with identical dual-graph interfaces share one profile and
-# their weights accumulate.  Every cell sits below the path it is stacked
-# onto and leads each thread from a top side down to a bottom side or into
-# its triangle, so no thread ever comes back up to cross the path twice.
+# one byte:
+#   0       the thread runs off to the polygon boundary (an unbounded end)
+#   c >= 1  the thread ends at a triangle in component c
+# Component labels are canonical (numbered from 1 by first appearance among
+# the links), so deformations with identical dual-graph interfaces share one
+# profile and their weights accumulate; each composition keeps them canonical
+# without a relabel pass.  Every cell sits below the path it is stacked onto
+# and leads each thread from a top side down to a bottom side or into its
+# triangle, so no thread ever comes back up to cross the path twice.
 #
 # The links are the whole profile, because every side graph is a forest: the
 # arc has no triangle, no closed edge and no component; a cut adds one
-# triangle and either one closed edge (onto a C thread) or one component; a
+# triangle and either one closed edge (onto a thread c) or one component; a
 # reflect adds neither.  So closed edges - triangles + components = 0 on each
 # side, and only the splice across the path can close a cycle.
 
-_B = -1
+Profile = bytes
 
-Profile = tuple[int, ...]
+# a profile has fewer links than its polygon has lattice points, so at most
+# 255 labels, each fitting a byte
+MAX_POINTS = 256
+
+# _SHIFT[k] moves each label c >= k up to c + 1 (no child holds 255: it has at
+# most 254 links) and _SWAP[k] exchanges the labels k and k + 1.
+_ID = bytes(range(256))
+_SHIFT = [_ID[:k] + _ID[k + 1:] + b"\xff" for k in range(256)]
+_SWAP = [_ID[:k] + _ID[k + 1:k + 2] + _ID[k:k + 1] + _ID[k + 2:] for k in range(255)]
 
 # the profiles of every dead side, memoized as one shared dict: never mutate
 _DEAD: dict[Profile, dict[int, int]] = {}
-
-
-def _canonical_profile(links: list[int]) -> Profile:
-    relabel: dict[int, int] = {}
-    return tuple([relabel.setdefault(x, len(relabel)) if x >= 0 else x for x in links])
 
 
 def _compose_cut(links: Profile, j: int) -> Profile:
@@ -186,13 +190,15 @@ def _compose_cut(links: Profile, j: int) -> Profile:
 
     The child path lost point j, so child edge j-1 is the triangle's bottom
     side; the triangle's two top sides become edges j-1 and j of the parent
-    path.  The triangle either plugs into the component its bottom thread
-    reaches or starts a fresh one, numbered len(links) to stay clear of the
-    canonical child ids.
+    path.  The triangle plugs into the component its bottom thread reaches,
+    repeating that link, or, off an unbounded end, starts component k (one
+    past the labels before it) and moves the later labels from k up by one.
     """
     bottom = links[j - 1]
-    top = bottom if bottom >= 0 else len(links)
-    return _canonical_profile([*links[:j - 1], top, top, *links[j:]])
+    if bottom:
+        return links[:j] + links[j - 1:]
+    k = max(links[:j - 1], default=0) + 1
+    return links[:j - 1] + bytes((k, k)) + links[j:].translate(_SHIFT[k])
 
 
 def _compose_reflect(links: Profile, j: int) -> Profile:
@@ -200,10 +206,13 @@ def _compose_reflect(links: Profile, j: int) -> Profile:
 
     The parallelogram is pure wiring: parent edge j-1 threads through to
     child edge j, and parent edge j to child edge j-1; no vertex, no weight.
+    When both links first appear right there (labels k, k + 1), the rest of
+    the profile trades those two labels instead, so the order stays canonical.
     """
-    out = list(links)
-    out[j - 1], out[j] = out[j], out[j - 1]
-    return _canonical_profile(out)
+    a, b = links[j - 1], links[j]
+    if a and b == a + 1 and a not in links[:j - 1]:
+        return links[:j + 1] + links[j + 1:].translate(_SWAP[a])
+    return links[:j - 1] + bytes((b, a)) + links[j + 1:]
 
 
 def _pair_b1(minus: Profile, plus: Profile) -> int:
@@ -217,10 +226,10 @@ def _pair_b1(minus: Profile, plus: Profile) -> int:
     splices again.
     """
     n = len(minus)
-    parent = list(range(2 * n))  # minus component c is c, plus component c is n + c
+    parent = list(range(2 * n + 1))  # minus component c is c, plus component c is n + c
     b1 = 0
     for a, b in zip(minus, plus):
-        if a < 0 or b < 0:
+        if not a or not b:
             continue  # an unbounded end
         b += n
         while parent[a] != a:
@@ -241,6 +250,9 @@ class PathEngine:
         self.poly = poly
         self.lam = lam
         pts = sorted(poly.lattice_points(), key=lam.key)
+        if len(pts) > MAX_POINTS:
+            raise UnsupportedDegreeError(f"lattice-path engine supports at most {MAX_POINTS} "
+                                         f"lattice points in the polygon, got {len(pts)}")
         self.points = pts                       # index = lambda rank
         self.id_of = {pt: i for i, pt in enumerate(pts)}
         self._xs = [x for x, _ in pts]
@@ -432,7 +444,7 @@ class PathEngine:
         if found is not None:
             return found
         if ids == self._arcs[side]:
-            result = {(_B,) * (len(ids) - 1): _ONE}
+            result = {bytes(len(ids) - 1): _ONE}
         else:
             result = {}
             corner = self._corner(ids, side == PLUS)

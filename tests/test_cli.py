@@ -139,6 +139,12 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
                        "--engine", "floor")
     assert code == 3
 
+    # profile labels must fit a byte: refused before any count, nothing cached
+    code, out, err = run(capsys, "count", "P2:d=22", "--engine", "path")
+    assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
+    assert err == "error: lattice-path engine supports at most 256 lattice points in the polygon, got 276\n"
+    assert not isolated_cache.exists()
+
     assert main(["count", "P2:d=3", "--jobs", "2"]) == 2  # no such option
     assert main([]) == 2
     assert main(["--help"]) == 0

@@ -141,6 +141,15 @@ def test_validation_stage_connectivity():
     with pytest.raises(CurveValidationError) as exc:
         CurveCombinatorics([0], [CurveEdge(0, 7, (1, 0), 1)])
     assert exc.value.stage == "connectivity"
+    # ids are ints, never coerced: a float id or endpoint is refused
+    tripod = [CurveEdge(0, None, (1, 0), 1), CurveEdge(0, None, (0, 1), 1),
+              CurveEdge(0, None, (-1, -1), 1)]
+    with pytest.raises(CurveValidationError, match="vertex id: 0.7 is not an integer") as exc:
+        CurveCombinatorics([0.7], tripod)
+    assert exc.value.stage == "connectivity"
+    with pytest.raises(CurveValidationError, match="0.0 is not an integer") as exc:
+        CurveCombinatorics([0], [CurveEdge(0.0, None, (1, 0), 1), *tripod[1:]])
+    assert exc.value.stage == "connectivity"
     with pytest.raises(CurveValidationError) as exc:
         CurveCombinatorics(
             [0, 1],
@@ -177,6 +186,12 @@ def test_validation_stage_germ():
                                  CurveEdge(0, None, (0, 1), 1),
                                  CurveEdge(0, None, (-1, -1), 1)])
     assert exc.value.stage == "germ"
+    # a bool weight or a float direction is not an integer, whatever it equals
+    for edge in (CurveEdge(0, None, (1, 0), True), CurveEdge(0, None, (1.0, 0), 1)):
+        with pytest.raises(CurveValidationError, match="is not an integer") as exc:
+            CurveCombinatorics([0], [edge, CurveEdge(0, None, (0, 1), 1),
+                                     CurveEdge(0, None, (-1, -1), 1)])
+        assert exc.value.stage == "germ"
 
 
 def test_validation_stage_balancing():

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from refinedcount.floors import compute_G_floor
 from refinedcount.geometry import (
@@ -24,6 +25,8 @@ from refinedcount.paths import (
     LambdaOrder,
     LatticePath,
     PathEngine,
+    _compose_cut,
+    _compose_reflect,
     all_orders,
     compute_G_path,
     delta_curve_census,
@@ -196,6 +199,35 @@ def test_path_id_tuples_rejects_impossible_genus():
         list(engine.path_id_tuples(-1, 9))
 
 
+def _relabel(links) -> bytes:
+    """Number the components from 1 by first appearance, from scratch."""
+    labels: dict[int, int] = {}
+    return bytes(labels.setdefault(x, len(labels) + 1) if x else 0 for x in links)
+
+
+@st.composite
+def _profile_and_position(draw):
+    """A canonical profile of 2 to 12 links, and a cut position j in 1..len."""
+    links = _relabel(draw(st.lists(st.integers(0, 12), min_size=2, max_size=12)))
+    return links, draw(st.integers(1, len(links)))
+
+
+@given(_profile_and_position())
+# a cut off an unbounded bottom: the new component 2 moves the old 2 up to 3
+@example((b"\x01\x00\x02", 2))
+# a reflect of two links that both first appear there: 2 and 3 trade labels
+@example((b"\x01\x02\x03\x02\x03", 2))
+def test_compositions_keep_labels_canonical(case):
+    links, j = case
+    # the triangle's top threads reach its bottom's component, or a label no
+    # child holds (256) before the relabel
+    top = links[j - 1] or 256
+    assert _compose_cut(links, j) == _relabel([*links[:j - 1], top, top, *links[j:]])
+    if j < len(links):
+        swapped = [*links[:j - 1], links[j], links[j - 1], *links[j + 1:]]
+        assert _compose_reflect(links, j) == _relabel(swapped)
+
+
 @pytest.mark.parametrize("lam", ["lex:+x,+y", "lex:+x,-y"])
 def test_side_profiles_partition_the_classical_multiplicity(lam):
     # the two orders make opposite sides the mostly dead one
@@ -211,9 +243,11 @@ def test_side_profiles_partition_the_classical_multiplicity(lam):
                 assert (profiles == {}) == (mu == {})
                 total: dict[int, int] = {}
                 for links, weight in profiles.items():
-                    assert len(links) == len(ids) - 1
-                    # -1 is an unbounded end, c >= 0 a triangle in component c
-                    assert all(type(link) is int and link >= -1 for link in links)
+                    assert type(links) is bytes and len(links) == len(ids) - 1
+                    # 0 is an unbounded end, c >= 1 a triangle in component c,
+                    # numbered from 1 by first appearance
+                    assert all(0 <= link < len(links) + 1 for link in links)
+                    assert links == _relabel(links)
                     for e, v in weight.items():
                         total[e] = total.get(e, 0) + v
                 assert total == mu
@@ -254,6 +288,16 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
                 for e, v in joint.items():
                     total[e] = total.get(e, 0) + v
             assert RefinedPoly.from_half_units(total) == compute_G_path(deg, g, lam)
+
+
+def test_engine_refuses_a_polygon_whose_labels_would_not_fit_a_byte():
+    # a profile has a byte per path edge, so at most 255 component labels
+    assert len(PathEngine(dual_polygon(p2_degree(21)), DEFAULT_ORDER).points) == 253
+    assert len(PathEngine(dual_polygon(p1xp1_degree(15, 15)), DEFAULT_ORDER).points) == 256
+    with pytest.raises(UnsupportedDegreeError, match="at most 256 lattice points .* got 276"):
+        PathEngine(dual_polygon(p2_degree(22)), DEFAULT_ORDER)
+    with pytest.raises(UnsupportedDegreeError):
+        compute_G_path(p2_degree(22), 0)
 
 
 def test_selective_side_has_the_longer_arc():
