@@ -1,7 +1,7 @@
 """Lattice-path engine for refined curve counts.
 
 Independent of the floor-diagram engine: for a primitive degree, the count
-G(g, deg) is a sum over lattice paths in the dual polygon.  Fix a total order
+G(g, deg) comes from a sum over lattice paths in the dual polygon.  Fix a total order
 lambda on lattice points (lexicographic on a signed axis pair, standing in
 for a linear functional of irrational slope).  A path is a lambda-increasing
 sequence of kappa+g points of the polygon from the lambda-minimal vertex p to
@@ -18,17 +18,28 @@ the arc; the classical side multiplicity mu is the weight sum over completed
 deformations, and it bottoms out at 1 when the path already equals the arc.
 
 A pair of completed deformations, one per side, tiles the whole polygon and
-is dual to a tropical curve: triangles become trivalent vertices, shared
-cell edges become curve edges, and each parallelogram threads its two pairs
-of opposite sides straight through without a vertex.  The genus of that
-curve is the first Betti number b1 of the threaded dual graph, and a pair
-contributes to G(g, deg) exactly when b1 == g, with weight the product of
-the quantum integers of all triangles on both sides.  Summing
-mu_plus * mu_minus instead would also count pairs of the wrong genus, so
-the engine tracks a per-side connectivity profile (how the open threads of
-the side's dual graph cross the path edges, one byte per edge) and
-splices profile pairs to evaluate b1 without re-walking cells.  Each side's
-dual graph is a forest, so the links alone fix b1.
+is dual to a tropical curve through the kappa+g-1 points on the path edges,
+possibly reducible: triangles become trivalent vertices, shared cell edges
+become curve edges, and each parallelogram threads its two pairs of opposite
+sides straight through without a vertex.  Its weight is the product of the
+quantum integers of all triangles on both sides.  So the Severi sum of
+mu_plus * mu_minus over the paths of kappa+g points counts every curve
+through those points, and a curve with C components has b1 = g - 1 + C
+(Mikhalkin, arXiv:math/0312530; refined by Block-Goettsche, arXiv:1111.2832).
+
+A count is Severi-first: it takes that sum, then peels off the reducible
+curves by the exponential formula.  The component through point 1 has a
+balanced sub-multiset d1 of the degree as its degree and some genus g1, so
+it passes through n1 = |d1| + g1 - 1 of the points, and
+
+    all(deg, n) = sum over (d1, g1) of C(n-1, n1-1) * G(g1, d1) * all(deg - d1, n - n1),
+
+with all(empty, 0) = 1.  G(g, deg) is the Severi sum less the terms with
+d1 != deg.  By the invariance theorem each component's count does not
+depend on the points it passes through, so G(g1, d1) comes from the
+sub-degree's own engine under the same lambda, and each lambda order stays
+an independent end-to-end count.  A one-dimensional sub-degree counts only
+as a line {v, -v}, at g1 = 0 through one point with weight 1.
 
 Most paths have a side with no completed deformation (mu == 0, a dead
 side), so a count does not walk every path.  The live paths of one side are
@@ -42,20 +53,28 @@ The pass runs on the selective side, the one whose arc has more lattice
 points (plus on a tie): a longer arc leaves less room for a completed
 deformation, so that side's live set is the small one (on P2(5), in every
 order, 1833 live paths of length kappa against 20950 on the other side).
-A count visits only its live paths of the wanted length.  The other side
-is dead exactly when it has no profile, so its profiles are built first,
-and the selective side's only for paths live on both.  `path_id_tuples`
-and the classical recursion `mu_ids` serve the `paths` command and the
-tests as the reference; no count calls them.
+A count visits only its live paths of the wanted length, reads the other
+side's mu first and the selective side's only for paths live on both.
+
+The per-path reference keeps irreducibility local instead.  Each side's
+dual graph is a forest, so a per-side connectivity profile (how the open
+threads of the side's dual graph cross the path edges, one byte per edge)
+fixes b1 once two profiles are spliced, and a path's joint multiplicity
+sums the profile pairs with b1 == g.  No count calls it; it stays for
+`delta_curve_census`'s per_path_alpha, for the tests and for the traced
+loop of the benchmark, together with `path_id_tuples`, which walks every
+point subset.  Its labels are bytes, so the engine keeps its cap of
+MAX_POINTS lattice points.
 
 Recursion states repeat heavily across paths and genera, so each
 (polygon, lambda) pair owns one long-lived engine (`get_engine`), and the
-engine owns all of its state: the memo tables of the side profiles (a dead
-entry holds one shared empty dict) and of the classical recursion, the
-live levels of each side, and the nonzero joint multiplicities of each
-genus already counted, so a repeat count reads them back without splicing
-again.  Nothing is cached at module level.  The engine and its tables are
-single-threaded.
+engine owns all of its state: the memo tables of the classical recursion
+and of the side profiles (a dead entry holds one shared empty dict), the
+live levels of each side, the balanced sub-degrees of its degree
+(enumerated once), the exponential formula's memo, G of each genus already
+counted, so a repeat count only reads it back, and the reference's joint
+multiplicities per genus.  Nothing is cached at module level.  The engine
+and its tables are single-threaded.
 """
 
 from __future__ import annotations
@@ -63,7 +82,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 from typing import Iterator
 
 from .geometry import (
@@ -72,6 +92,7 @@ from .geometry import (
     UnsupportedDegreeError,
     Vec,
     cross,
+    degree_from_polygon,
     delta_invariant,
     dual_polygon,
     lattice_counts,
@@ -215,6 +236,14 @@ def _compose_reflect(links: Profile, j: int) -> Profile:
     return links[:j - 1] + bytes((b, a)) + links[j + 1:]
 
 
+def _accumulate(total: dict[int, int], a: dict[int, int], b: dict[int, int], c: int) -> None:
+    """total += c * a * b in place, for a, b with positive coefficients and c > 0."""
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            total[e] = total.get(e, 0) + c * v1 * v2
+
+
 def _pair_b1(minus: Profile, plus: Profile) -> int:
     """First Betti number of the dual graph spliced from two side profiles.
 
@@ -273,6 +302,15 @@ class PathEngine:
         self._profiles: dict[tuple[str, tuple[int, ...]], dict[Profile, dict[int, int]]] = {}
         # nonzero joint multiplicities per genus; callers must not mutate them
         self._joints: dict[int, tuple[dict[int, int], ...]] = {}
+        # the degree as multiplicities over its distinct end vectors; a
+        # sub-degree is a tuple of multiplicities over the same vectors
+        ends = degree_from_polygon(poly).vectors
+        self._vectors = tuple(sorted(set(ends)))
+        self._full = tuple(ends.count(v) for v in self._vectors)
+        self._parts: list[tuple[tuple[int, ...], int, PathEngine | None]] | None = None
+        # G per genus, and the exponential formula's memo keyed by (sub-degree, points)
+        self._counts: dict[int, dict[int, int]] = {}
+        self._curve_memo: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
 
     def _boundary_cycle(self) -> list[Vec]:
         """All boundary lattice points in CCW order starting at vertices[0]."""
@@ -437,6 +475,94 @@ class PathEngine:
             j += 1
         return same
 
+    # -- the count: Severi sum less the reducible curves -----------------------
+
+    def count(self, g: int) -> dict[int, int]:
+        """G(g) in half units, kept on the engine: callers must not mutate it.
+
+        The Severi sum over paths of kappa+g points counts every curve
+        through kappa+g-1 points, reducible ones too; the reducible ones are
+        those whose components all have proper sub-degrees.
+        """
+        found = self._counts.get(g)
+        if found is not None:
+            return found
+        if g < 0:
+            raise ValueError(f"no valid path length: genus {g} is negative")
+        G: dict[int, int] = {}
+        if g <= self.interior_count:
+            reducible = self._curves(self._full, self.kappa + g - 1)
+            G = _add(self._severi(g), {e: -v for e, v in reducible.items()})
+        self._counts[g] = G
+        return G
+
+    def _severi(self, g: int) -> dict[int, int]:
+        """Sum of mu_plus * mu_minus over the paths of kappa+g points.
+
+        Only the selective side's live paths can weigh anything; the other
+        side's mu is read first, and the selective side's only if it is live.
+        """
+        total: dict[int, int] = {}
+        for ids in self._level(self._selective, self.kappa + g):
+            other = self.mu_ids(ids, self._other)
+            if other:
+                _accumulate(total, other, self.mu_ids(ids, self._selective), 1)
+        return total
+
+    def _components(self) -> list[tuple[tuple[int, ...], int, PathEngine | None]]:
+        """The proper sub-degrees a component can have, enumerated once.
+
+        Each is (multiplicities, number of ends, its engine under the same
+        lambda), or engine None for a line {v, -v}: the one-dimensional
+        component, through one point with weight 1.  Other one-dimensional
+        sub-degrees have no irreducible curve and are left out.
+        """
+        if self._parts is None:
+            vectors, full = self._vectors, self._full
+            self._parts = []
+            for sub in product(*(range(c + 1) for c in full)):
+                if sub == full or not any(sub):
+                    continue
+                if any(sum(k * v[axis] for k, v in zip(sub, vectors)) for axis in (0, 1)):
+                    continue  # not balanced
+                ends = [v for k, v in zip(sub, vectors) for _ in range(k)]
+                if all(cross(ends[0], v) == 0 for v in ends):
+                    if len(ends) == 2:
+                        self._parts.append((sub, 2, None))
+                    continue
+                engine = get_engine(dual_polygon(BalancedDegree(ends)), self.lam)
+                self._parts.append((sub, len(ends), engine))
+        return self._parts
+
+    def _curves(self, rest: tuple[int, ...], m: int) -> dict[int, int]:
+        """Curves of degree `rest` through m points whose components all have
+        proper sub-degrees: every curve for a proper `rest`, the reducible
+        ones for the full degree.
+
+        Exponential formula over the component through point 1, of
+        sub-degree d1 and genus g1 through n1 = |d1| + g1 - 1 points:
+        sum of C(m-1, n1-1) * G(g1, d1) * curves(rest - d1, m - n1).
+        """
+        if not any(rest):
+            return _ONE if m == 0 else {}
+        key = (rest, m)
+        total = self._curve_memo.get(key)
+        if total is None:
+            total = {}
+            for sub, size, engine in self._components():
+                if any(s > r for s, r in zip(sub, rest)):
+                    continue
+                left = tuple(r - s for r, s in zip(rest, sub))
+                top = engine.interior_count if engine else 0
+                for g1 in range(min(top, m - size + 1) + 1):
+                    n1 = size + g1 - 1
+                    G1 = engine.count(g1) if engine else _ONE
+                    _accumulate(total, G1, self._curves(left, m - n1), comb(m - 1, n1 - 1))
+            self._curve_memo[key] = total
+        return total
+
+    # -- per-path reference: side profiles spliced to b1 == g -------------------
+
     def side_profiles(self, ids: tuple[int, ...], side: str) -> dict[Profile, dict[int, int]]:
         """Completed deformations of one side, grouped by connectivity profile."""
         memo = self._profiles
@@ -537,18 +663,14 @@ def enumerate_paths(poly: LatticePolygon, g: int, lam: LambdaOrder = DEFAULT_ORD
 
 
 def compute_G_path(deg: BalancedDegree, g: int, lam: LambdaOrder = DEFAULT_ORDER) -> RefinedPoly:
-    """Sum of joint path multiplicities (pairs with b1 == g) over all paths.
+    """G(g, deg): the Severi sum over the paths less the reducible curves.
 
     Zero above genus_max, where no path is long enough.  Raises ValueError
     for a negative genus, and UnsupportedDegreeError (a ValueError) for a
     non-primitive degree.
     """
     _require_primitive(deg)
-    engine = get_engine(dual_polygon(deg), lam)
-    total: dict[int, int] = {}
-    for joint in engine.joint_multiplicities(g):
-        total = _add(total, joint)
-    return RefinedPoly.from_half_units(total)
+    return RefinedPoly.from_half_units(get_engine(dual_polygon(deg), lam).count(g))
 
 
 def delta_curve_census(
@@ -559,15 +681,16 @@ def delta_curve_census(
     """Top-coefficient bookkeeping: how many paths carry which refined degree.
 
     count_top is the coefficient of y^delta in G; per_path_alpha lists, in
-    enumeration order, the degree of each path's nonzero joint multiplicity.
-    Genus is handled as in compute_G_path: ValueError below 0, and no paths
-    (count_top 0) above genus_max.
+    enumeration order, the degree of each path's nonzero joint multiplicity,
+    from the per-path reference.  Genus is handled as in compute_G_path:
+    ValueError below 0, and no paths (count_top 0) above genus_max.
     """
     _require_primitive(deg)
-    joints = get_engine(dual_polygon(deg), lam).joint_multiplicities(g)
-    # above genus_max there are no joints, and delta_invariant would raise
-    delta_half_units = int(delta_invariant(g, deg) * 2) if joints else 0
+    engine = get_engine(dual_polygon(deg), lam)
+    G = engine.count(g)
+    # above genus_max G is zero, and delta_invariant would raise
+    delta_half_units = int(delta_invariant(g, deg) * 2) if G else 0
     return {
-        "count_top": sum(joint.get(delta_half_units, 0) for joint in joints),
-        "per_path_alpha": [Fraction(max(joint), 2) for joint in joints],
+        "count_top": G.get(delta_half_units, 0),
+        "per_path_alpha": [Fraction(max(joint), 2) for joint in engine.joint_multiplicities(g)],
     }

@@ -46,6 +46,24 @@ def kontsevich(d: int) -> int:
     )
 
 
+def node_polynomial_1(d: int) -> int:
+    """N^{d,1}: one-nodal plane curves of degree d through d(d+3)/2 - 1 points.
+
+    The degree 3(d-1)^2 of the discriminant hypersurface, counting reducible
+    curves too; a closed formula, not a tropical count.
+    """
+    return 3 * (d - 1) ** 2
+
+
+def node_polynomial_2(d: int) -> int:
+    """N^{d,2}: two-nodal plane curves of degree d through d(d+3)/2 - 2 points.
+
+    3/2 (d-1)(d-2)(3d^2-3d-11), reducible curves included; the product of the
+    first two factors is even, so the division is exact.
+    """
+    return 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11) // 2
+
+
 # -- linear extensions -----------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Lattice-path engine: orders, enumeration, side and joint multiplicities."""
 
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -33,7 +35,7 @@ from refinedcount.paths import (
     enumerate_paths,
     get_engine,
 )
-from oracles import WELSCHINGER, kontsevich
+from oracles import WELSCHINGER, kontsevich, node_polynomial_1, node_polynomial_2
 
 
 def test_lambda_orders():
@@ -178,17 +180,21 @@ def test_repeat_counts_are_served_by_the_engine(monkeypatch):
     def one_round():
         return [(compute_G_path(deg, g), delta_curve_census(deg, g)) for g in genera]
 
+    def sizes():
+        return len(engine._memo), len(engine._profiles), len(engine._curve_memo)
+
     first = one_round()
-    sizes = (len(engine._memo), len(engine._profiles))
+    before = sizes()
 
-    def splice(*args):
-        raise AssertionError("a repeat count spliced again")
+    def recount(*args):
+        raise AssertionError("a repeat count ran the engine again")
 
-    # repeat counts read each genus's joints back from the engine
-    monkeypatch.setattr(PathEngine, "path_multiplicity", splice)
+    # repeat counts read G and the census's joints back from the engine
+    monkeypatch.setattr(PathEngine, "path_multiplicity", recount)
+    monkeypatch.setattr(PathEngine, "mu_ids", recount)
     for _ in range(2):
         assert one_round() == first
-        assert (len(engine._memo), len(engine._profiles)) == sizes
+        assert sizes() == before
 
 
 def test_path_id_tuples_rejects_impossible_genus():
@@ -312,21 +318,18 @@ def test_selective_side_has_the_longer_arc():
 
 
 def test_counts_never_walk_every_path_tuple(monkeypatch):
-    def walk(*args):
-        raise AssertionError("path_id_tuples walked")
+    def reference(*args):
+        raise AssertionError("the per-path reference ran on the count path")
 
-    def classical(*args):
-        raise AssertionError("the classical recursion ran on the count path")
-
-    monkeypatch.setattr(PathEngine, "path_id_tuples", walk)
-    # liveness on the other side comes from its profiles alone
-    monkeypatch.setattr(PathEngine, "mu_ids", classical)
-    # a fresh engine, so earlier tests' cached joints cannot hide a walk
+    # a count sums mu_plus * mu_minus over live paths: it neither walks every
+    # tuple nor builds side profiles to splice them
+    for name in ("path_id_tuples", "side_profiles", "path_multiplicity"):
+        monkeypatch.setattr(PathEngine, name, reference)
+    # fresh engines, so earlier tests' cached counts cannot hide a walk
     monkeypatch.setattr(paths, "get_engine", PathEngine)
     deg = p2_degree(4)
     lam = LambdaOrder.parse("lex:-y,+x")
     assert compute_G_path(deg, 1, lam) == compute_G_floor(deg, 1)
-    assert delta_curve_census(deg, 1, lam)["count_top"] == 3
 
 
 def test_genus_above_genus_max_counts_zero():
@@ -347,3 +350,52 @@ def test_quintic_rational_count_agrees_in_every_order():
     reference = compute_G_floor(deg, 0)
     for lam in all_orders():
         assert compute_G_path(deg, 0, lam) == reference
+
+
+def _severi(deg: BalancedDegree, g: int, lam: LambdaOrder = DEFAULT_ORDER) -> RefinedPoly:
+    """The raw sum of mu_plus * mu_minus over the paths: reducible curves too."""
+    return RefinedPoly.from_half_units(paths.get_engine(dual_polygon(deg), lam)._severi(g))
+
+
+@pytest.fixture
+def fresh_engines(monkeypatch):
+    """Engines cached for one test only, so a sextic's memos are freed after it."""
+    monkeypatch.setattr(paths, "get_engine", lru_cache(maxsize=None)(PathEngine))
+
+
+def test_raw_severi_sums_match_the_node_polynomials(fresh_engines):
+    # one and two nodes: genus g_max - 1 and g_max - 2, possibly reducible
+    for d in range(3, 7):
+        assert _severi(p2_degree(d), genus_max(p2_degree(d)) - 1).evaluate(1) == node_polynomial_1(d)
+    for d in range(4, 7):
+        assert _severi(p2_degree(d), genus_max(p2_degree(d)) - 2).evaluate(1) == node_polynomial_2(d)
+    assert [node_polynomial_1(d) for d in range(3, 7)] == [12, 27, 48, 75]
+    assert [node_polynomial_2(d) for d in range(4, 7)] == [225, 882, 2370]
+
+
+def test_reducible_correction_is_pinned():
+    for lam in all_orders():
+        # a genus-1 cubic and a line: the line's 2 points out of the 11
+        deg = p2_degree(4)
+        assert _severi(deg, 0, lam) - compute_G_path(deg, 0, lam) == RefinedPoly.constant(comb(11, 2))
+        for deg, g in ((p2_degree(3), 0), (p1xp1_degree(2, 2), 0), (p1xp1_degree(2, 2), 1)):
+            assert _severi(deg, g, lam) == compute_G_path(deg, g, lam)
+
+
+def test_only_single_lines_are_one_dimensional_components():
+    # two parallel ends each way make no irreducible curve: on P1xP1(4,3) a
+    # double line beside a (2,3) curve would add to g = 0 and 1
+    deg = p1xp1_degree(4, 3)
+    for g in (0, 1):
+        assert compute_G_path(deg, g) == compute_G_floor(deg, g)
+    engine = get_engine(dual_polygon(deg), DEFAULT_ORDER)
+    assert engine._vectors == ((-1, 0), (0, -1), (0, 1), (1, 0))
+    lines = [(sub, size) for sub, size, part in engine._components() if part is None]
+    assert lines == [((0, 1, 1, 0), 2), ((1, 0, 0, 1), 2)]
+
+
+def test_sextic_rational_count_agrees_with_floor(fresh_engines):
+    deg = p2_degree(6)
+    G = compute_G_path(deg, 0, LambdaOrder.parse("lex:+x,+y"))
+    assert G == compute_G_floor(deg, 0)
+    assert (G.evaluate(1), G.evaluate(-1)) == (kontsevich(6), WELSCHINGER[5]) == (26312976, 2845440)
