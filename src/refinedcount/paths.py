@@ -1,9 +1,9 @@
 """Lattice-path engine for refined curve counts.
 
 Independent of the floor-diagram engine: for a primitive degree, the count
-G(g, deg) comes from a sum over lattice paths in the dual polygon.  Fix a total order
-lambda on lattice points (lexicographic on a signed axis pair, standing in
-for a linear functional of irrational slope).  A path is a lambda-increasing
+G(g, deg) comes from a sum over lattice paths in the dual polygon.  Fix a
+total order lambda on lattice points (lexicographic on a signed axis pair,
+standing in for a linear functional of irrational slope).  A path is a lambda-increasing
 sequence of kappa+g points of the polygon from the lambda-minimal vertex p to
 the lambda-maximal vertex q; since lambda is total, a path is just a point
 subset, so enumeration is binomial.
@@ -519,7 +519,7 @@ class PathEngine:
         """
         if self._parts is None:
             vectors, full = self._vectors, self._full
-            self._parts = []
+            parts: list[tuple[tuple[int, ...], int, PathEngine | None]] = []
             for sub in product(*(range(c + 1) for c in full)):
                 if sub == full or not any(sub):
                     continue
@@ -528,10 +528,11 @@ class PathEngine:
                 ends = [v for k, v in zip(sub, vectors) for _ in range(k)]
                 if all(cross(ends[0], v) == 0 for v in ends):
                     if len(ends) == 2:
-                        self._parts.append((sub, 2, None))
+                        parts.append((sub, 2, None))
                     continue
                 engine = get_engine(dual_polygon(BalancedDegree(ends)), self.lam)
-                self._parts.append((sub, len(ends), engine))
+                parts.append((sub, len(ends), engine))
+            self._parts = parts
         return self._parts
 
     def _curves(self, rest: tuple[int, ...], m: int) -> dict[int, int]:
