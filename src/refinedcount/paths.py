@@ -63,18 +63,24 @@ fixes b1 once two profiles are spliced, and a path's joint multiplicity
 sums the profile pairs with b1 == g.  No count calls it; it stays for
 `delta_curve_census`'s per_path_alpha, for the tests and for the traced
 loop of the benchmark, together with `path_id_tuples`, which walks every
-point subset.  Its labels are bytes, so the engine keeps its cap of
-MAX_POINTS lattice points.
+point subset and yields tuples.
+
+Inside the engine a path is its id: the bytes of its lambda ranks, in
+order.  The arcs, the live levels and every child the recursion builds are
+ids, and only `mu` (from points) and `path_multiplicity` (from a tuple)
+convert.  Ranks and profile labels each fit a byte, so the engine keeps its
+cap of MAX_POINTS lattice points.
 
 Recursion states repeat heavily across paths and genera, so each
 (polygon, lambda) pair owns one long-lived engine (`get_engine`), and the
 engine owns all of its state: the memo tables of the classical recursion
-and of the side profiles (a dead entry holds one shared empty dict), the
-live levels of each side, the balanced sub-degrees of its degree
-(enumerated once), the exponential formula's memo, G of each genus already
-counted, so a repeat count only reads it back, and the reference's joint
-multiplicities per genus.  Nothing is cached at module level.  The engine
-and its tables are single-threaded.
+and of the side profiles (one dict per side, keyed by path id; every dead
+entry is the one shared empty dict `_DEAD`), the live levels of each side,
+the balanced sub-degrees of its degree (enumerated once), the exponential
+formula's memo, G of each genus already counted, so a repeat count only
+reads it back, and the reference's joint multiplicities per genus.
+Nothing is cached at module level.  The engine and its tables are
+single-threaded.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .geometry import (
     BalancedDegree,
@@ -192,8 +198,9 @@ class LatticePath:
 
 Profile = bytes
 
-# a profile has fewer links than its polygon has lattice points, so at most
-# 255 labels, each fitting a byte
+# every lambda rank fits a byte, so a path id is the bytes of its ranks; and a
+# profile has fewer links than its polygon has lattice points, so at most 255
+# labels, each fitting a byte
 MAX_POINTS = 256
 
 # _SHIFT[k] moves each label c >= k up to c + 1 (no child holds 255: it has at
@@ -202,8 +209,9 @@ _ID = bytes(range(256))
 _SHIFT = [_ID[:k] + _ID[k + 1:] + b"\xff" for k in range(256)]
 _SWAP = [_ID[:k] + _ID[k + 1:k + 2] + _ID[k:k + 1] + _ID[k + 2:] for k in range(255)]
 
-# the profiles of every dead side, memoized as one shared dict: never mutate
-_DEAD: dict[Profile, dict[int, int]] = {}
+# every dead side's memo entry, its mu and its profiles alike: one shared
+# dict, never mutated
+_DEAD: dict = {}
 
 
 def _compose_cut(links: Profile, j: int) -> Profile:
@@ -289,17 +297,17 @@ class PathEngine:
         counts = lattice_counts(poly)
         self.interior_count = counts[0]
         self.kappa = counts[1]
-        # base-case targets: the full boundary arcs as lambda-sorted id tuples
+        # base-case targets: the full boundary arcs as lambda-sorted path ids
         self._arcs = {PLUS: self._arc_ids(ccw=False), MINUS: self._arc_ids(ccw=True)}
         plus_longer = len(self._arcs[PLUS]) >= len(self._arcs[MINUS])
         self._selective, self._other = (PLUS, MINUS) if plus_longer else (MINUS, PLUS)
         # live paths found backwards from each arc: one set per length, from
         # the arc's up, plus the parents already found one point longer
-        self._levels: dict[str, list[set[tuple[int, ...]]]] = {PLUS: [], MINUS: []}
-        self._seeds: dict[str, set[tuple[int, ...]]] = {PLUS: {self._arcs[PLUS]},
-                                                        MINUS: {self._arcs[MINUS]}}
-        self._memo: dict[tuple[str, tuple[int, ...]], dict[int, int]] = {}
-        self._profiles: dict[tuple[str, tuple[int, ...]], dict[Profile, dict[int, int]]] = {}
+        self._levels: dict[str, list[set[bytes]]] = {PLUS: [], MINUS: []}
+        self._seeds: dict[str, set[bytes]] = {PLUS: {self._arcs[PLUS]}, MINUS: {self._arcs[MINUS]}}
+        # one memo per side, keyed by path id
+        self._memo: dict[str, dict[bytes, dict[int, int]]] = {PLUS: {}, MINUS: {}}
+        self._profiles: dict[str, dict[bytes, dict[Profile, dict[int, int]]]] = {PLUS: {}, MINUS: {}}
         # nonzero joint multiplicities per genus; callers must not mutate them
         self._joints: dict[int, tuple[dict[int, int], ...]] = {}
         # the degree as multiplicities over its distinct end vectors; a
@@ -322,13 +330,13 @@ class PathEngine:
                 out.append((a[0] + i * d[0], a[1] + i * d[1]))
         return out
 
-    def _arc_ids(self, ccw: bool) -> tuple[int, ...]:
+    def _arc_ids(self, ccw: bool) -> bytes:
         """Boundary arc from the lambda-min to the lambda-max point.
 
         Walking the CCW boundary cycle from p to q keeps the region to the
         right of the chord p->q, i.e. yields the minus arc; the reverse walk
         yields the plus arc.  Asserted via cross-product signs.  Returned as
-        the lambda-sorted id tuple: the recursion bottoms out exactly when a
+        the lambda-sorted path id: the recursion bottoms out exactly when a
         path coincides with the whole arc, lattice point for lattice point.
         """
         cyc = self._boundary_cycle()
@@ -347,11 +355,11 @@ class PathEngine:
         for r in arc:
             s = cross(chord, vsub(r, p))
             assert (s <= 0) if ccw else (s >= 0)
-        return tuple(sorted(self.id_of[r] for r in arc))
+        return bytes(sorted(self.id_of[r] for r in arc))
 
     # -- recursion -------------------------------------------------------------
 
-    def _corner(self, ids: tuple[int, ...], want_positive: bool):
+    def _corner(self, ids: bytes, want_positive: bool):
         """First corner poking away from the side's arc, or None."""
         xs, ys = self._xs, self._ys
         sign = 1 if want_positive else -1
@@ -366,10 +374,10 @@ class PathEngine:
             ax, ay, bx, by = bx, by, cx, cy
         return None
 
-    def mu_ids(self, ids: tuple[int, ...], side: str) -> dict[int, int]:
+    def mu_ids(self, ids: bytes, side: str) -> dict[int, int]:
         """Classical side multiplicity: weight sum over completed deformations."""
-        memo = self._memo
-        found = memo.get((side, ids))
+        memo = self._memo[side]
+        found = memo.get(ids)
         if found is not None:
             return found
         if ids == self._arcs[side]:
@@ -382,13 +390,13 @@ class PathEngine:
                 result = _mul_quantum(self.mu_ids(ids[:j] + ids[j + 1:], side), m)
                 if rid is not None:
                     # lambda is linear, so the reflected point sorts strictly
-                    # between its neighbours: the new tuple needs no re-sort
-                    result = _add(result, self.mu_ids(ids[:j] + (rid,) + ids[j + 1:], side))
-        memo[(side, ids)] = result
+                    # between its neighbours: the new id needs no re-sort
+                    result = _add(result, self.mu_ids(ids[:j] + bytes((rid,)) + ids[j + 1:], side))
+        memo[ids] = result = result or _DEAD
         return result
 
     def mu(self, path: LatticePath, side: str) -> RefinedPoly:
-        ids = tuple(self.id_of[pt] for pt in path.points)
+        ids = bytes(self.id_of[pt] for pt in path.points)
         return RefinedPoly.from_half_units(self.mu_ids(ids, side))
 
     # -- live paths, generated backwards from the arc ---------------------------
@@ -398,11 +406,11 @@ class PathEngine:
         with the fewer live paths, so the one to generate backwards."""
         return self._selective
 
-    def live_paths(self, side: str, n: int) -> list[tuple[int, ...]]:
-        """The side's live paths (mu != 0) of n points, in path_id_tuples order."""
+    def live_paths(self, side: str, n: int) -> list[bytes]:
+        """The side's live path ids (mu != 0) of n points, in path_id_tuples order."""
         return sorted(self._level(side, n))
 
-    def _level(self, side: str, n: int) -> set[tuple[int, ...]] | frozenset:
+    def _level(self, side: str, n: int) -> set[bytes] | frozenset:
         """The side's live paths of n points as a set, grown on demand."""
         levels = self._levels[side]
         i = n - len(self._arcs[side])
@@ -415,7 +423,7 @@ class PathEngine:
     def _grow(self, side: str) -> None:
         """Close the pending parents under inverse reflects: the next level."""
         level = self._seeds[side]
-        longer: set[tuple[int, ...]] = set()
+        longer: set[bytes] = set()
         stack = list(level)
         sign = 1 if side == PLUS else -1
         while stack:
@@ -426,8 +434,7 @@ class PathEngine:
         self._levels[side].append(level)
         self._seeds[side] = longer
 
-    def _inverse_moves(self, child: tuple[int, ...], sign: int,
-                       longer: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    def _inverse_moves(self, child: bytes, sign: int, longer: set[bytes]) -> list[bytes]:
         """Parents of a live child: inverse cuts go into `longer`, inverse
         reflects (same length) are returned.
 
@@ -437,7 +444,7 @@ class PathEngine:
         child's own first poking corner.
         """
         xs, ys, id_of = self._xs, self._ys, self.id_of
-        same: list[tuple[int, ...]] = []
+        same: list[bytes] = []
         last = len(child) - 1
         stop = last
         px = py = 0
@@ -454,7 +461,7 @@ class PathEngine:
                     continue
                 if j > 1 and sign * ((ax - px) * (Y - ay) - (ay - py) * (X - ax)) > 0:
                     continue
-                longer.add(child[:j] + (x,) + child[j:])
+                longer.add(child[:j] + bytes((x,)) + child[j:])
             if j == last:
                 break
             c = child[j + 1]
@@ -470,7 +477,7 @@ class PathEngine:
                 if r is not None and not (
                     j > 1 and sign * ((ax - px) * (ry - ay) - (ay - py) * (rx - ax)) > 0
                 ):
-                    same.append(child[:j] + (r,) + child[j + 1:])
+                    same.append(child[:j] + bytes((r,)) + child[j + 1:])
             px, py, ax, ay = ax, ay, bx, by
             j += 1
         return same
@@ -564,10 +571,10 @@ class PathEngine:
 
     # -- per-path reference: side profiles spliced to b1 == g -------------------
 
-    def side_profiles(self, ids: tuple[int, ...], side: str) -> dict[Profile, dict[int, int]]:
+    def side_profiles(self, ids: bytes, side: str) -> dict[Profile, dict[int, int]]:
         """Completed deformations of one side, grouped by connectivity profile."""
-        memo = self._profiles
-        found = memo.get((side, ids))
+        memo = self._profiles[side]
+        found = memo.get(ids)
         if found is not None:
             return found
         if ids == self._arcs[side]:
@@ -581,10 +588,10 @@ class PathEngine:
                     stacked = _compose_cut(prof, j)
                     result[stacked] = _add(result.get(stacked, {}), _mul_quantum(weight, m))
                 if rid is not None:
-                    for prof, weight in self.side_profiles(ids[:j] + (rid,) + ids[j + 1:], side).items():
+                    for prof, weight in self.side_profiles(ids[:j] + bytes((rid,)) + ids[j + 1:], side).items():
                         stacked = _compose_reflect(prof, j)
                         result[stacked] = _add(result.get(stacked, {}), weight)
-        memo[(side, ids)] = result = result or _DEAD
+        memo[ids] = result = result or _DEAD
         return result
 
     def joint_multiplicities(self, g: int) -> tuple[dict[int, int], ...]:
@@ -602,14 +609,16 @@ class PathEngine:
             self._joints[g] = tuple(joint for joint in joints if joint)
         return self._joints[g]
 
-    def path_multiplicity(self, ids: tuple[int, ...], g: int) -> dict[int, int]:
+    def path_multiplicity(self, ids: Sequence[int], g: int) -> dict[int, int]:
         """Joint weight of the path: deformation pairs whose dual graph has b1 == g.
 
-        Correct on any tuple.  A tuple off the selective side's live level is
-        dead there and weighs nothing.  Otherwise the other side's profiles
-        come first, and the selective side's are built only if the other
-        side is live too.
+        Correct on any path: its ranks come as a path id or as a tuple from
+        path_id_tuples, and are read as a path id.  A path off the selective
+        side's live level is dead there and weighs nothing.  Otherwise the
+        other side's profiles come first, and the selective side's are built
+        only if the other side is live too.
         """
+        ids = bytes(ids)
         if ids not in self._level(self._selective, len(ids)):
             return {}
         profiles = {self._other: self.side_profiles(ids, self._other)}

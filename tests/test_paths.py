@@ -181,7 +181,9 @@ def test_repeat_counts_are_served_by_the_engine(monkeypatch):
         return [(compute_G_path(deg, g), delta_curve_census(deg, g)) for g in genera]
 
     def sizes():
-        return len(engine._memo), len(engine._profiles), len(engine._curve_memo)
+        # entries summed over the two sides' memos: each table has one per side
+        return (sum(map(len, engine._memo.values())), sum(map(len, engine._profiles.values())),
+                len(engine._curve_memo))
 
     first = one_round()
     before = sizes()
@@ -195,6 +197,31 @@ def test_repeat_counts_are_served_by_the_engine(monkeypatch):
     for _ in range(2):
         assert one_round() == first
         assert sizes() == before
+
+
+def test_path_memos_are_compact():
+    def entries(engine):
+        # every key of both tables is a path id, every dead entry the shared dict
+        for table in (engine._memo, engine._profiles):
+            for memo in table.values():
+                assert all(type(ids) is bytes for ids in memo)
+                assert all(value is paths._DEAD for value in memo.values() if not value)
+        # (entries, empty entries) of each side's mu memo
+        return {side: (len(memo), sum(not mu for mu in memo.values()))
+                for side, memo in engine._memo.items()}
+
+    # every state the recursion visits is one entry, so these counts pin the recursion
+    engine = PathEngine(dual_polygon(p2_degree(5)), LambdaOrder.parse("lex:+x,+y"))
+    engine.count(0)
+    engine.count(1)
+    assert entries(engine) == {MINUS: (13270, 4806), PLUS: (5798, 2204)}
+    engine = PathEngine(dual_polygon(p2_degree(4)), DEFAULT_ORDER)
+    for g in range(genus_max(p2_degree(4)) + 1):
+        engine.count(g)
+        engine.joint_multiplicities(g)  # fills the profile memos too
+    assert any(engine._profiles.values())
+    assert entries(engine) == {MINUS: (436, 119), PLUS: (223, 65)}
+    assert paths._DEAD == {}
 
 
 def test_path_id_tuples_rejects_impossible_genus():
@@ -241,7 +268,7 @@ def test_side_profiles_partition_the_classical_multiplicity(lam):
     cases = [(p2, g) for g in range(genus_max(p2) + 1)] + [(quadric, g) for g in range(3)]
     for deg, g in cases:
         engine = PathEngine(dual_polygon(deg), LambdaOrder.parse(lam))
-        for ids in engine.path_id_tuples(g, deg.kappa):
+        for ids in map(bytes, engine.path_id_tuples(g, deg.kappa)):
             for side in (MINUS, PLUS):
                 mu = engine.mu_ids(ids, side)
                 profiles = engine.side_profiles(ids, side)
@@ -268,7 +295,7 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
         selective = engine.selective_side()
         other = MINUS if selective == PLUS else PLUS
         for g in range(genus_max(deg) + 1):
-            tuples = list(engine.path_id_tuples(g, deg.kappa))
+            tuples = list(map(bytes, engine.path_id_tuples(g, deg.kappa)))
             live = {}
             for side in (MINUS, PLUS):
                 live[side] = engine.live_paths(side, deg.kappa + g)
