@@ -20,6 +20,8 @@ from fractions import Fraction
 from math import gcd, factorial
 from typing import Iterable, Optional
 
+from .laurent import _json_int
+
 Vec = tuple[int, int]
 
 
@@ -33,6 +35,16 @@ class PolygonError(ValueError):
 
 class UnsupportedDegreeError(ValueError):
     """Raised for a valid degree that a counting engine cannot handle."""
+
+
+def _int_vec(v, error: type[ValueError]) -> Vec:
+    """v as a pair of ints; a float or bool coordinate raises `error`, since
+    int() would truncate it or pass it."""
+    x, y = v
+    try:
+        return _json_int(x), _json_int(y)
+    except ValueError as exc:
+        raise error(f"coordinates must be integers: {exc}") from None
 
 
 def cross(a: Vec, b: Vec) -> int:
@@ -79,7 +91,7 @@ class BalancedDegree:
     vectors: tuple[Vec, ...]
 
     def __post_init__(self):
-        vs = tuple(sorted((int(x), int(y)) for x, y in self.vectors))
+        vs = tuple(sorted(_int_vec(v, DegreeError) for v in self.vectors))
         if any(v == (0, 0) for v in vs):
             raise DegreeError("degree contains a zero vector")
         if len(vs) < 3:
@@ -132,7 +144,7 @@ class LatticePolygon:
     vertices: tuple[Vec, ...]
 
     def __post_init__(self):
-        vs = [(int(x), int(y)) for x, y in self.vertices]
+        vs = [_int_vec(v, PolygonError) for v in self.vertices]
         if len(vs) < 3:
             raise PolygonError("a polygon needs at least three vertices")
         area2 = sum(cross(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
@@ -197,7 +209,7 @@ class LatticePolygon:
 
 def convex_hull(points: Iterable[Vec]) -> list[Vec]:
     """Andrew's monotone chain; returns hull vertices in CCW order."""
-    pts = sorted(set((int(x), int(y)) for x, y in points))
+    pts = sorted(set(_int_vec(p, PolygonError) for p in points))
     if len(pts) <= 2:
         return pts
     lower: list[Vec] = []

@@ -60,10 +60,10 @@ The per-path reference keeps irreducibility local instead.  Each side's
 dual graph is a forest, so a per-side connectivity profile (how the open
 threads of the side's dual graph cross the path edges, one byte per edge)
 fixes b1 once two profiles are spliced, and a path's joint multiplicity
-sums the profile pairs with b1 == g.  No count calls it; it stays for
-`delta_curve_census`'s per_path_alpha, for the tests and for the traced
-loop of the benchmark, together with `path_id_tuples`, which walks every
-point subset and yields tuples.
+(`path_multiplicity`, its one entry point) sums the profile pairs with
+b1 == g.  No count calls it; it stays for the tests and for the traced loop
+of the benchmark, together with `path_id_tuples`, which walks every point
+subset and yields tuples.
 
 Inside the engine a path is its id: the bytes of its lambda ranks, in
 order.  The arcs, the live levels and every child the recursion builds are
@@ -77,16 +77,14 @@ engine owns all of its state: the memo tables of the classical recursion
 and of the side profiles (one dict per side, keyed by path id; every dead
 entry is the one shared empty dict `_DEAD`), the live levels of each side,
 the balanced sub-degrees of its degree (enumerated once), the exponential
-formula's memo, G of each genus already counted, so a repeat count only
-reads it back, and the reference's joint multiplicities per genus.
-Nothing is cached at module level.  The engine and its tables are
-single-threaded.
+formula's memo, and G of each genus already counted, so a repeat count
+only reads it back.  Nothing is cached at module level.  The engine and
+its tables are single-threaded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
@@ -105,7 +103,7 @@ from .geometry import (
     primitive,
     vsub,
 )
-from .laurent import _ONE, RefinedPoly, _add, _mul, _mul_quantum
+from .laurent import _ONE, RefinedPoly, _add, _mul_quantum
 
 PLUS = "plus"
 MINUS = "minus"
@@ -258,9 +256,7 @@ def _pair_b1(minus: Profile, plus: Profile) -> int:
     Each path edge joins its minus-side thread to its plus-side thread.  When
     both end at triangles that makes a dual edge between two components;
     both sides are forests, so b1 counts the edges whose ends are already
-    joined.  Not cached: few profile pairs recur within a count, and the
-    engine keeps each genus's spliced joints, so a repeat count never
-    splices again.
+    joined.  Not cached: a path's splice pairs each two profiles once.
     """
     n = len(minus)
     parent = list(range(2 * n + 1))  # minus component c is c, plus component c is n + c
@@ -308,8 +304,6 @@ class PathEngine:
         # one memo per side, keyed by path id
         self._memo: dict[str, dict[bytes, dict[int, int]]] = {PLUS: {}, MINUS: {}}
         self._profiles: dict[str, dict[bytes, dict[Profile, dict[int, int]]]] = {PLUS: {}, MINUS: {}}
-        # nonzero joint multiplicities per genus; callers must not mutate them
-        self._joints: dict[int, tuple[dict[int, int], ...]] = {}
         # the degree as multiplicities over its distinct end vectors; a
         # sub-degree is a tuple of multiplicities over the same vectors
         ends = degree_from_polygon(poly).vectors
@@ -400,15 +394,6 @@ class PathEngine:
         return RefinedPoly.from_half_units(self.mu_ids(ids, side))
 
     # -- live paths, generated backwards from the arc ---------------------------
-
-    def selective_side(self) -> str:
-        """The side whose arc has more lattice points (plus on a tie): the one
-        with the fewer live paths, so the one to generate backwards."""
-        return self._selective
-
-    def live_paths(self, side: str, n: int) -> list[bytes]:
-        """The side's live path ids (mu != 0) of n points, in path_id_tuples order."""
-        return sorted(self._level(side, n))
 
     def _level(self, side: str, n: int) -> set[bytes] | frozenset:
         """The side's live paths of n points as a set, grown on demand."""
@@ -594,21 +579,6 @@ class PathEngine:
         memo[ids] = result = result or _DEAD
         return result
 
-    def joint_multiplicities(self, g: int) -> tuple[dict[int, int], ...]:
-        """Nonzero path multiplicities of genus g, in path_id_tuples order.
-
-        Only the selective side's live paths of the length are visited.  The
-        tuple is kept on the engine and shared by every later call, so its
-        dicts must not be mutated.
-        """
-        if g not in self._joints:
-            if g < 0:
-                raise ValueError(f"no valid path length: genus {g} is negative")
-            joints = (self.path_multiplicity(ids, g)
-                      for ids in self.live_paths(self._selective, self.kappa + g))
-            self._joints[g] = tuple(joint for joint in joints if joint)
-        return self._joints[g]
-
     def path_multiplicity(self, ids: Sequence[int], g: int) -> dict[int, int]:
         """Joint weight of the path: deformation pairs whose dual graph has b1 == g.
 
@@ -619,22 +589,15 @@ class PathEngine:
         only if the other side is live too.
         """
         ids = bytes(ids)
-        if ids not in self._level(self._selective, len(ids)):
+        if ids not in self._level(self._selective, len(ids)) or not self.side_profiles(ids, self._other):
             return {}
-        profiles = {self._other: self.side_profiles(ids, self._other)}
-        if not profiles[self._other]:
-            return {}
-        profiles[self._selective] = self.side_profiles(ids, self._selective)
-        # distributive: one product per minus profile, over its genus-g partners
-        acc: dict[int, int] = {}
-        for prof_m, wm in profiles[MINUS].items():
-            wp: dict[int, int] = {}
-            for prof_p, w in profiles[PLUS].items():
+        plus = self.side_profiles(ids, PLUS)
+        joint: dict[int, int] = {}
+        for prof_m, wm in self.side_profiles(ids, MINUS).items():
+            for prof_p, wp in plus.items():
                 if _pair_b1(prof_m, prof_p) == g:
-                    wp = _add(wp, w)
-            if wp:
-                acc = _add(acc, _mul(wm, wp))
-        return acc
+                    _accumulate(joint, wm, wp, 1)
+        return joint
 
     # -- enumeration -----------------------------------------------------------
 
@@ -688,19 +651,12 @@ def delta_curve_census(
     g: int,
     lam: LambdaOrder = DEFAULT_ORDER,
 ) -> dict:
-    """Top-coefficient bookkeeping: how many paths carry which refined degree.
+    """Top-coefficient bookkeeping: count_top is the coefficient of y^delta in G.
 
-    count_top is the coefficient of y^delta in G; per_path_alpha lists, in
-    enumeration order, the degree of each path's nonzero joint multiplicity,
-    from the per-path reference.  Genus is handled as in compute_G_path:
-    ValueError below 0, and no paths (count_top 0) above genus_max.
+    Read off compute_G_path(deg, g, lam), so it raises as that does and is 0
+    above genus_max.  Per-path degrees, in half units, are the maxima of the
+    nonzero `path_multiplicity` dicts over `path_id_tuples`.
     """
-    _require_primitive(deg)
-    engine = get_engine(dual_polygon(deg), lam)
-    G = engine.count(g)
+    G = compute_G_path(deg, g, lam)
     # above genus_max G is zero, and delta_invariant would raise
-    delta_half_units = int(delta_invariant(g, deg) * 2) if G else 0
-    return {
-        "count_top": G.get(delta_half_units, 0),
-        "per_path_alpha": [Fraction(max(joint), 2) for joint in engine.joint_multiplicities(g)],
-    }
+    return {"count_top": G.coefficient(delta_invariant(g, deg)) if G else 0}

@@ -44,6 +44,10 @@ def test_balanced_degree_validation():
         BalancedDegree([(1, 0), (1, 0), (-1, 0)])
     with pytest.raises(DegreeError):
         BalancedDegree([(1, 0), (1, 0), (-1, 0), (-1, 0)])
+    # int() would truncate 1.9 to the unit triangle's (1, 0) and pass True as 1
+    for bad in ((1.9, 0), (True, 0)):
+        with pytest.raises(DegreeError, match="coordinates must be integers"):
+            BalancedDegree([bad, (0, 1), (-1, -1)])
 
 
 def test_projective_plane_degree():
@@ -86,6 +90,12 @@ def test_polygon_validation():
         LatticePolygon([(0, 0), (1, 0), (2, 0)])
     with pytest.raises(PolygonError):
         LatticePolygon([(0, 0), (1, 0), (2, 0), (0, 1)])
+    # int() would make the (2,0) triangle of 2.7, and pass True as 1
+    for bad in ((2.7, 0), (True, 0)):
+        with pytest.raises(PolygonError, match="coordinates must be integers"):
+            LatticePolygon([(0, 0), bad, (0, 2)])
+        with pytest.raises(PolygonError, match="coordinates must be integers"):
+            convex_hull([(0, 0), bad, (0, 2)])
     assert LatticePolygon.from_points(
         [(0, 0), (1, 0), (2, 0), (0, 1), (5, 5), (3, 3)]
     ) == LatticePolygon.from_points([(0, 0), (2, 0), (0, 1), (5, 5)])

@@ -1,6 +1,5 @@
 """Lattice-path engine: orders, enumeration, side and joint multiplicities."""
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -158,7 +157,6 @@ def test_nonprimitive_degree_rejected():
 def test_census_examples():
     census = delta_curve_census(p2_degree(3), 0)
     assert census["count_top"] == 1
-    assert max(census["per_path_alpha"]) == 1
 
     census = delta_curve_census(p2_degree(4), 1)
     assert census["count_top"] == 3
@@ -168,8 +166,6 @@ def test_census_examples():
 
     census = delta_curve_census(p2_degree(4), 0)
     assert census["count_top"] == 1
-    assert sorted(census["per_path_alpha"])[-1] == 3
-    assert all(isinstance(a, Fraction) for a in census["per_path_alpha"])
 
 
 def test_repeat_counts_are_served_by_the_engine(monkeypatch):
@@ -191,7 +187,7 @@ def test_repeat_counts_are_served_by_the_engine(monkeypatch):
     def recount(*args):
         raise AssertionError("a repeat count ran the engine again")
 
-    # repeat counts read G and the census's joints back from the engine
+    # repeat counts and censuses read G back from the engine
     monkeypatch.setattr(PathEngine, "path_multiplicity", recount)
     monkeypatch.setattr(PathEngine, "mu_ids", recount)
     for _ in range(2):
@@ -218,7 +214,8 @@ def test_path_memos_are_compact():
     engine = PathEngine(dual_polygon(p2_degree(4)), DEFAULT_ORDER)
     for g in range(genus_max(p2_degree(4)) + 1):
         engine.count(g)
-        engine.joint_multiplicities(g)  # fills the profile memos too
+        for ids in engine.path_id_tuples(g, engine.kappa):
+            engine.path_multiplicity(ids, g)  # fills the profile memos too
     assert any(engine._profiles.values())
     assert entries(engine) == {MINUS: (436, 119), PLUS: (223, 65)}
     assert paths._DEAD == {}
@@ -292,13 +289,13 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
     deg = parse_degree(spec)
     for lam in all_orders():
         engine = PathEngine(dual_polygon(deg), lam)
-        selective = engine.selective_side()
+        selective = engine._selective
         other = MINUS if selective == PLUS else PLUS
         for g in range(genus_max(deg) + 1):
             tuples = list(map(bytes, engine.path_id_tuples(g, deg.kappa)))
             live = {}
             for side in (MINUS, PLUS):
-                live[side] = engine.live_paths(side, deg.kappa + g)
+                live[side] = sorted(engine._level(side, deg.kappa + g))
                 assert live[side] == [ids for ids in tuples if engine.mu_ids(ids, side)]
             # the longer arc's side is never the larger live set
             assert len(live[selective]) <= len(live[other])
@@ -309,7 +306,7 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
             for ids in tuples:
                 joint = engine.path_multiplicity(ids, g)
                 assert ids in both or joint == {}
-                # the distributive splice equals the sum over genus-g profile pairs
+                # the joint equals the sum over genus-g profile pairs
                 pairwise = sum(
                     (RefinedPoly.from_half_units(wm) * RefinedPoly.from_half_units(wp)
                      for pm, wm in engine.side_profiles(ids, MINUS).items()
@@ -338,18 +335,19 @@ def test_selective_side_has_the_longer_arc():
         engine = PathEngine(dual_polygon(p2_degree(5)), lam)
         arcs = {side: len(engine._arcs[side]) for side in (MINUS, PLUS)}
         assert sorted(arcs.values()) == [6, 11]
-        assert arcs[engine.selective_side()] == 11
+        assert arcs[engine._selective] == 11
     square = PathEngine(dual_polygon(p1xp1_degree(3, 3)), DEFAULT_ORDER)
     assert len(square._arcs[PLUS]) == len(square._arcs[MINUS])
-    assert square.selective_side() == PLUS  # ties go to plus
+    assert square._selective == PLUS  # ties go to plus
 
 
 def test_counts_never_walk_every_path_tuple(monkeypatch):
     def reference(*args):
         raise AssertionError("the per-path reference ran on the count path")
 
-    # a count sums mu_plus * mu_minus over live paths: it neither walks every
-    # tuple nor builds side profiles to splice them
+    # a count sums mu_plus * mu_minus over live paths, and a census reads its
+    # top coefficient off that count: neither walks every tuple nor builds
+    # side profiles to splice them
     for name in ("path_id_tuples", "side_profiles", "path_multiplicity"):
         monkeypatch.setattr(PathEngine, name, reference)
     # fresh engines, so earlier tests' cached counts cannot hide a walk
@@ -357,6 +355,7 @@ def test_counts_never_walk_every_path_tuple(monkeypatch):
     deg = p2_degree(4)
     lam = LambdaOrder.parse("lex:-y,+x")
     assert compute_G_path(deg, 1, lam) == compute_G_floor(deg, 1)
+    assert delta_curve_census(deg, 0, lam) == {"count_top": 1}
 
 
 def test_genus_above_genus_max_counts_zero():
@@ -366,7 +365,7 @@ def test_genus_above_genus_max_counts_zero():
             assert compute_G_path(deg, gmax, lam) == RefinedPoly.one()
             assert compute_G_path(deg, gmax + 1, lam) == RefinedPoly.zero()
             assert compute_G_path(deg, gmax + 5, lam) == RefinedPoly.zero()
-            assert delta_curve_census(deg, gmax + 1, lam) == {"count_top": 0, "per_path_alpha": []}
+            assert delta_curve_census(deg, gmax + 1, lam) == {"count_top": 0}
     for count in (compute_G_path, delta_curve_census):
         with pytest.raises(ValueError, match="genus -1 is negative"):
             count(p2_degree(3), -1)
