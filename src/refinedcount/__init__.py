@@ -44,7 +44,6 @@ from .paths import (
     LatticePath,
     all_orders,
     compute_G_path,
-    delta_curve_census,
     enumerate_paths,
 )
 from .analysis import (
@@ -91,7 +90,6 @@ __all__ = [
     "LatticePath",
     "all_orders",
     "compute_G_path",
-    "delta_curve_census",
     "enumerate_paths",
     "InvariantReport",
     "a_delta_minus_1_formula",

@@ -10,14 +10,16 @@ polynomial as a dict mapping exponent-in-half-units (an int: the key ``e``
 stands for the power y^(e/2)) to a nonzero integer coefficient.  All
 arithmetic is plain integer arithmetic on these dicts; no floats anywhere.
 
-The raw kernels `_ONE`, `_add`, `_mul` and `_mul_quantum` do this arithmetic
-for both engines: the floor engine through `RefinedPoly`, which wraps them,
-and the lattice-path engine directly on the dicts in its hot loops.
-Coefficients of the polynomials produced by the engines are always positive.
-`_add`, `_mul` and `RefinedPoly` allow any nonzero integers, so intermediate
-expressions and test constructions are unconstrained; `_mul_quantum`, which
-runs in the path engine's innermost recursion, takes nonnegative coefficients
-only, so its sums never cancel and it skips the zero test.
+The raw kernels `_ONE`, `_add`, `_mul`, `_mul_quantum` and `_accumulate` do
+this arithmetic for both engines: the floor engine through `RefinedPoly`,
+which wraps them, and the lattice-path engine directly on the dicts in its
+hot loops.  Coefficients of the polynomials produced by the engines are
+always positive.  `_add`, `_mul` and `RefinedPoly` allow any nonzero
+integers, so intermediate expressions and test constructions are
+unconstrained.  `_mul_quantum`, which runs in the path engine's innermost
+recursion, and `_accumulate`, which adds a scaled product into a dict in
+place, take nonnegative coefficients only, so their sums never cancel and
+they skip the zero test.
 """
 
 from __future__ import annotations
@@ -74,6 +76,14 @@ def _mul_quantum(poly: dict[int, int], m: int) -> dict[int, int]:
             k = e + shift
             out[k] = out.get(k, 0) + v
     return out
+
+
+def _accumulate(total: dict[int, int], a: dict[int, int], b: dict[int, int], c: int) -> None:
+    """total += c * a * b in place, for a, b with positive coefficients and c > 0."""
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            total[e] = total.get(e, 0) + c * v1 * v2
 
 
 def _to_half_units(exponent: HalfExp) -> int:

@@ -56,14 +56,16 @@ order, 1833 live paths of length kappa against 20950 on the other side).
 A count visits only its live paths of the wanted length, reads the other
 side's mu first and the selective side's only for paths live on both.
 
-The per-path reference keeps irreducibility local instead.  Each side's
-dual graph is a forest, so a per-side connectivity profile (how the open
-threads of the side's dual graph cross the path edges, one byte per edge)
-fixes b1 once two profiles are spliced, and a path's joint multiplicity
+The per-path reference keeps irreducibility local instead, and is written
+to be plainly correct rather than fast.  Each side's dual graph is a
+forest, so a per-side connectivity profile (how the open threads of the
+side's dual graph cross the path edges, one byte per edge) fixes b1 once
+two profiles are spliced, and a path's joint multiplicity
 (`path_multiplicity`, its one entry point) sums the profile pairs with
-b1 == g.  No count calls it; it stays for the tests and for the traced loop
-of the benchmark, together with `path_id_tuples`, which walks every point
-subset and yields tuples.
+b1 == g.  Each cut or reflect stacks its cell onto the child's links and
+renumbers the components from scratch.  No count calls the reference; it
+stays for the tests and for the traced loop of the benchmark, together with
+`path_id_tuples`, which walks every point subset and yields tuples.
 
 Inside the engine a path is its id: the bytes of its lambda ranks, in
 order.  The arcs, the live levels and every child the recursion builds are
@@ -97,13 +99,12 @@ from .geometry import (
     Vec,
     cross,
     degree_from_polygon,
-    delta_invariant,
     dual_polygon,
     lattice_counts,
     primitive,
     vsub,
 )
-from .laurent import _ONE, RefinedPoly, _add, _mul_quantum
+from .laurent import _ONE, RefinedPoly, _accumulate, _add, _mul_quantum
 
 PLUS = "plus"
 MINUS = "minus"
@@ -183,8 +184,8 @@ class LatticePath:
 #   c >= 1  the thread ends at a triangle in component c
 # Component labels are canonical (numbered from 1 by first appearance among
 # the links), so deformations with identical dual-graph interfaces share one
-# profile and their weights accumulate; each composition keeps them canonical
-# without a relabel pass.  Every cell sits below the path it is stacked onto
+# profile and their weights accumulate; each composition stacks its cell and
+# relabels the result.  Every cell sits below the path it is stacked onto
 # and leads each thread from a top side down to a bottom side or into its
 # triangle, so no thread ever comes back up to cross the path twice.
 #
@@ -201,15 +202,15 @@ Profile = bytes
 # labels, each fitting a byte
 MAX_POINTS = 256
 
-# _SHIFT[k] moves each label c >= k up to c + 1 (no child holds 255: it has at
-# most 254 links) and _SWAP[k] exchanges the labels k and k + 1.
-_ID = bytes(range(256))
-_SHIFT = [_ID[:k] + _ID[k + 1:] + b"\xff" for k in range(256)]
-_SWAP = [_ID[:k] + _ID[k + 1:k + 2] + _ID[k:k + 1] + _ID[k + 2:] for k in range(255)]
-
 # every dead side's memo entry, its mu and its profiles alike: one shared
 # dict, never mutated
 _DEAD: dict = {}
+
+
+def _relabel(links) -> Profile:
+    """Number the components from 1 by first appearance; 0 stays an unbounded end."""
+    labels: dict[int, int] = {}
+    return bytes(labels.setdefault(x, len(labels) + 1) if x else 0 for x in links)
 
 
 def _compose_cut(links: Profile, j: int) -> Profile:
@@ -218,14 +219,11 @@ def _compose_cut(links: Profile, j: int) -> Profile:
     The child path lost point j, so child edge j-1 is the triangle's bottom
     side; the triangle's two top sides become edges j-1 and j of the parent
     path.  The triangle plugs into the component its bottom thread reaches,
-    repeating that link, or, off an unbounded end, starts component k (one
-    past the labels before it) and moves the later labels from k up by one.
+    or, off an unbounded end, starts a component of its own: 256, a label no
+    child holds, until the relabel numbers it.
     """
-    bottom = links[j - 1]
-    if bottom:
-        return links[:j] + links[j - 1:]
-    k = max(links[:j - 1], default=0) + 1
-    return links[:j - 1] + bytes((k, k)) + links[j:].translate(_SHIFT[k])
+    top = links[j - 1] or 256
+    return _relabel((*links[:j - 1], top, top, *links[j:]))
 
 
 def _compose_reflect(links: Profile, j: int) -> Profile:
@@ -233,21 +231,8 @@ def _compose_reflect(links: Profile, j: int) -> Profile:
 
     The parallelogram is pure wiring: parent edge j-1 threads through to
     child edge j, and parent edge j to child edge j-1; no vertex, no weight.
-    When both links first appear right there (labels k, k + 1), the rest of
-    the profile trades those two labels instead, so the order stays canonical.
     """
-    a, b = links[j - 1], links[j]
-    if a and b == a + 1 and a not in links[:j - 1]:
-        return links[:j + 1] + links[j + 1:].translate(_SWAP[a])
-    return links[:j - 1] + bytes((b, a)) + links[j + 1:]
-
-
-def _accumulate(total: dict[int, int], a: dict[int, int], b: dict[int, int], c: int) -> None:
-    """total += c * a * b in place, for a, b with positive coefficients and c > 0."""
-    for e1, v1 in a.items():
-        for e2, v2 in b.items():
-            e = e1 + e2
-            total[e] = total.get(e, 0) + c * v1 * v2
+    return _relabel((*links[:j - 1], links[j], links[j - 1], *links[j + 1:]))
 
 
 def _pair_b1(minus: Profile, plus: Profile) -> int:
@@ -644,19 +629,3 @@ def compute_G_path(deg: BalancedDegree, g: int, lam: LambdaOrder = DEFAULT_ORDER
     """
     _require_primitive(deg)
     return RefinedPoly.from_half_units(get_engine(dual_polygon(deg), lam).count(g))
-
-
-def delta_curve_census(
-    deg: BalancedDegree,
-    g: int,
-    lam: LambdaOrder = DEFAULT_ORDER,
-) -> dict:
-    """Top-coefficient bookkeeping: count_top is the coefficient of y^delta in G.
-
-    Read off compute_G_path(deg, g, lam), so it raises as that does and is 0
-    above genus_max.  Per-path degrees, in half units, are the maxima of the
-    nonzero `path_multiplicity` dicts over `path_id_tuples`.
-    """
-    G = compute_G_path(deg, g, lam)
-    # above genus_max G is zero, and delta_invariant would raise
-    return {"count_top": G.coefficient(delta_invariant(g, deg)) if G else 0}

@@ -1,10 +1,14 @@
 """Command-line interface: output formats, exit codes, result cache."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import refinedcount
 from refinedcount import cli
 from refinedcount.cli import main
 from refinedcount.geometry import dual_polygon, p2_degree
@@ -374,3 +378,27 @@ def test_invocations_are_deterministic(capsys):
     code1, out1, _ = run(capsys, "analyze", "P2:d=3", "--format", "json")
     code2, out2, _ = run(capsys, "analyze", "P2:d=3", "--format", "json")
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "P2:d=4", "--genus", "1"],
+    ["count", "P1xP1:d=3,r=3", "--engine", "both"],
+    ["paths", "P2:d=3"],
+    ["diagrams", "P2:d=4", "--genus", "1"],
+    ["invariance", "P2:d=3", "--format", "json"],
+    ["analyze", "P2:d=4", "--format", "csv"],
+], ids=" ".join)
+def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
+    # the engines' sets of tuples and bytes iterate in hash order, which
+    # PYTHONHASHSEED changes from one process to the next
+    src = str(Path(refinedcount.__file__).parents[1])
+    results = []
+    for seed in ("0", "987654"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   REFINED_COUNT_CACHE=str(tmp_path / f"cache-{seed}.jsonl"),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "refinedcount.cli", *argv],
+                              env=env, capture_output=True, text=True)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1]

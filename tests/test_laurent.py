@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from refinedcount.laurent import RefinedPoly, _mul_quantum, quantum_integer
+from refinedcount.laurent import RefinedPoly, _accumulate, _mul_quantum, quantum_integer
 
 polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6).map(
     RefinedPoly.from_half_units
@@ -13,6 +13,8 @@ polys = st.dictionaries(st.integers(-6, 6), st.integers(-9, 9), max_size=6).map(
 integer_power_polys = st.dictionaries(
     st.integers(-3, 3).map(lambda k: 2 * k), st.integers(-9, 9), max_size=6
 ).map(RefinedPoly.from_half_units)
+# raw half-unit dicts for the kernels that take positive coefficients only
+positive_dicts = st.dictionaries(st.integers(-6, 6), st.integers(1, 9), max_size=6)
 
 
 def G04() -> RefinedPoly:
@@ -55,13 +57,22 @@ def test_quantum_integer_structure(m):
             q.evaluate(-1)
 
 
-@given(st.dictionaries(st.integers(-6, 6), st.integers(1, 9), max_size=6), st.integers(1, 9))
+@given(positive_dicts, st.integers(1, 9))
 def test_mul_quantum_kernel_is_the_product_with_quantum_integer(c, m):
     # the shift-and-add kernel, which takes positive coefficients only,
     # against the general product kernel
     product = _mul_quantum(c, m)
     assert 0 not in product.values()
     assert RefinedPoly.from_half_units(product) == RefinedPoly.from_half_units(c) * quantum_integer(m)
+
+
+@given(positive_dicts, positive_dicts, positive_dicts, st.integers(1, 9))
+def test_accumulate_kernel_adds_the_scaled_product_in_place(total, a, b, c):
+    P = RefinedPoly.from_half_units
+    expected = P(total) + c * P(a) * P(b)
+    _accumulate(total, a, b, c)
+    assert 0 not in total.values()
+    assert P(total) == expected
 
 
 @given(polys, polys, polys)

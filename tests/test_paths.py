@@ -4,7 +4,6 @@ from functools import lru_cache
 from math import comb
 
 import pytest
-from hypothesis import example, given, strategies as st
 
 from refinedcount.floors import compute_G_floor
 from refinedcount.geometry import (
@@ -26,11 +25,8 @@ from refinedcount.paths import (
     LambdaOrder,
     LatticePath,
     PathEngine,
-    _compose_cut,
-    _compose_reflect,
     all_orders,
     compute_G_path,
-    delta_curve_census,
     enumerate_paths,
     get_engine,
 )
@@ -149,23 +145,8 @@ def test_per_path_joint_multiplicities_are_structured():
 
 def test_nonprimitive_degree_rejected():
     deg = BalancedDegree([(2, 0), (0, 2), (-2, -2)])
-    for count in (compute_G_path, delta_curve_census):
-        with pytest.raises(UnsupportedDegreeError, match="requires primitive degree"):
-            count(deg, 0)
-
-
-def test_census_examples():
-    census = delta_curve_census(p2_degree(3), 0)
-    assert census["count_top"] == 1
-
-    census = delta_curve_census(p2_degree(4), 1)
-    assert census["count_top"] == 3
-    assert census["count_top"] == compute_G_path(p2_degree(4), 1).coefficient(
-        delta_invariant(1, p2_degree(4))
-    )
-
-    census = delta_curve_census(p2_degree(4), 0)
-    assert census["count_top"] == 1
+    with pytest.raises(UnsupportedDegreeError, match="requires primitive degree"):
+        compute_G_path(deg, 0)
 
 
 def test_repeat_counts_are_served_by_the_engine(monkeypatch):
@@ -174,7 +155,7 @@ def test_repeat_counts_are_served_by_the_engine(monkeypatch):
     engine = get_engine(dual_polygon(deg), DEFAULT_ORDER)
 
     def one_round():
-        return [(compute_G_path(deg, g), delta_curve_census(deg, g)) for g in genera]
+        return [compute_G_path(deg, g) for g in genera]
 
     def sizes():
         # entries summed over the two sides' memos: each table has one per side
@@ -187,7 +168,7 @@ def test_repeat_counts_are_served_by_the_engine(monkeypatch):
     def recount(*args):
         raise AssertionError("a repeat count ran the engine again")
 
-    # repeat counts and censuses read G back from the engine
+    # repeat counts read G back from the engine
     monkeypatch.setattr(PathEngine, "path_multiplicity", recount)
     monkeypatch.setattr(PathEngine, "mu_ids", recount)
     for _ in range(2):
@@ -229,35 +210,6 @@ def test_path_id_tuples_rejects_impossible_genus():
         list(engine.path_id_tuples(-1, 9))
 
 
-def _relabel(links) -> bytes:
-    """Number the components from 1 by first appearance, from scratch."""
-    labels: dict[int, int] = {}
-    return bytes(labels.setdefault(x, len(labels) + 1) if x else 0 for x in links)
-
-
-@st.composite
-def _profile_and_position(draw):
-    """A canonical profile of 2 to 12 links, and a cut position j in 1..len."""
-    links = _relabel(draw(st.lists(st.integers(0, 12), min_size=2, max_size=12)))
-    return links, draw(st.integers(1, len(links)))
-
-
-@given(_profile_and_position())
-# a cut off an unbounded bottom: the new component 2 moves the old 2 up to 3
-@example((b"\x01\x00\x02", 2))
-# a reflect of two links that both first appear there: 2 and 3 trade labels
-@example((b"\x01\x02\x03\x02\x03", 2))
-def test_compositions_keep_labels_canonical(case):
-    links, j = case
-    # the triangle's top threads reach its bottom's component, or a label no
-    # child holds (256) before the relabel
-    top = links[j - 1] or 256
-    assert _compose_cut(links, j) == _relabel([*links[:j - 1], top, top, *links[j:]])
-    if j < len(links):
-        swapped = [*links[:j - 1], links[j], links[j - 1], *links[j + 1:]]
-        assert _compose_reflect(links, j) == _relabel(swapped)
-
-
 @pytest.mark.parametrize("lam", ["lex:+x,+y", "lex:+x,-y"])
 def test_side_profiles_partition_the_classical_multiplicity(lam):
     # the two orders make opposite sides the mostly dead one
@@ -277,7 +229,8 @@ def test_side_profiles_partition_the_classical_multiplicity(lam):
                     # 0 is an unbounded end, c >= 1 a triangle in component c,
                     # numbered from 1 by first appearance
                     assert all(0 <= link < len(links) + 1 for link in links)
-                    assert links == _relabel(links)
+                    firsts = [c for i, c in enumerate(links) if c and c not in links[:i]]
+                    assert firsts == list(range(1, len(firsts) + 1))
                     for e, v in weight.items():
                         total[e] = total.get(e, 0) + v
                 assert total == mu
@@ -306,15 +259,6 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
             for ids in tuples:
                 joint = engine.path_multiplicity(ids, g)
                 assert ids in both or joint == {}
-                # the joint equals the sum over genus-g profile pairs
-                pairwise = sum(
-                    (RefinedPoly.from_half_units(wm) * RefinedPoly.from_half_units(wp)
-                     for pm, wm in engine.side_profiles(ids, MINUS).items()
-                     for pp, wp in engine.side_profiles(ids, PLUS).items()
-                     if paths._pair_b1(pm, pp) == g),
-                    RefinedPoly.zero(),
-                )
-                assert RefinedPoly.from_half_units(joint) == pairwise
                 for e, v in joint.items():
                     total[e] = total.get(e, 0) + v
             assert RefinedPoly.from_half_units(total) == compute_G_path(deg, g, lam)
@@ -345,9 +289,8 @@ def test_counts_never_walk_every_path_tuple(monkeypatch):
     def reference(*args):
         raise AssertionError("the per-path reference ran on the count path")
 
-    # a count sums mu_plus * mu_minus over live paths, and a census reads its
-    # top coefficient off that count: neither walks every tuple nor builds
-    # side profiles to splice them
+    # a count sums mu_plus * mu_minus over live paths: it neither walks every
+    # tuple nor builds side profiles to splice them
     for name in ("path_id_tuples", "side_profiles", "path_multiplicity"):
         monkeypatch.setattr(PathEngine, name, reference)
     # fresh engines, so earlier tests' cached counts cannot hide a walk
@@ -355,7 +298,6 @@ def test_counts_never_walk_every_path_tuple(monkeypatch):
     deg = p2_degree(4)
     lam = LambdaOrder.parse("lex:-y,+x")
     assert compute_G_path(deg, 1, lam) == compute_G_floor(deg, 1)
-    assert delta_curve_census(deg, 0, lam) == {"count_top": 1}
 
 
 def test_genus_above_genus_max_counts_zero():
@@ -365,10 +307,8 @@ def test_genus_above_genus_max_counts_zero():
             assert compute_G_path(deg, gmax, lam) == RefinedPoly.one()
             assert compute_G_path(deg, gmax + 1, lam) == RefinedPoly.zero()
             assert compute_G_path(deg, gmax + 5, lam) == RefinedPoly.zero()
-            assert delta_curve_census(deg, gmax + 1, lam) == {"count_top": 0}
-    for count in (compute_G_path, delta_curve_census):
-        with pytest.raises(ValueError, match="genus -1 is negative"):
-            count(p2_degree(3), -1)
+    with pytest.raises(ValueError, match="genus -1 is negative"):
+        compute_G_path(p2_degree(3), -1)
 
 
 def test_quintic_rational_count_agrees_in_every_order():
