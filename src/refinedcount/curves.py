@@ -5,7 +5,10 @@ dangling (infinite) edges, each edge carrying a primitive direction and a
 positive integer weight, balanced at every vertex.  Everything computed here
 -- the complex multiplicity, the real multiplicity, the refined multiplicity
 (a product of quantum integers over the vertices) and its degree -- depends
-only on that data.
+only on that data, and the multiplicities only on each vertex's star of
+outgoing weighted vectors.  A validated curve stores those stars, gathered in
+one pass over its edges, and rejects a degenerate vertex (three parallel
+vectors), which `vertex_complex_mult` refuses.
 
 Curve files are JSON::
 
@@ -125,10 +128,16 @@ class CurveCombinatorics:
     """Validated combinatorial curve.  Immutable after construction.
 
     Validation order is fixed (connectivity, valence, germ data, balancing)
-    so that an invalid input always reports the same first failure.
+    so that an invalid input always reports the same first failure.  One pass
+    over the edges lists each vertex's incident edges, signed +1 at the tail
+    and -1 at the head; the connectivity walk, valence and balancing read
+    those lists, and each balanced vertex keeps its `VertexStar`, vectors in
+    edge order, for `vertex_star`.  A degenerate vertex (three parallel
+    vectors) fails the balancing stage once every vertex is balanced, so a
+    curve that validates can always be scored.
     """
 
-    __slots__ = ("vertex_ids", "edges")
+    __slots__ = ("vertex_ids", "edges", "_stars")
 
     def __init__(self, vertex_ids, edges):
         vids = tuple(vertex_ids)
@@ -136,48 +145,32 @@ class CurveCombinatorics:
         _require_ints("connectivity", "vertex id", *vids)
         if len(set(vids)) != len(vids):
             raise CurveValidationError("connectivity", "duplicate vertex ids")
-        idset = set(vids)
+        incident: dict[int, list[tuple[CurveEdge, int]]] = {v: [] for v in vids}
         for e in es:
             _require_ints("connectivity", f"edge {e}", *(v for v in (e.tail, e.head) if v is not None))
-            if e.tail not in idset or (e.head is not None and e.head not in idset):
+            if e.tail not in incident or (e.head is not None and e.head not in incident):
                 raise CurveValidationError("connectivity", f"edge {e} references an unknown vertex")
-        object.__setattr__(self, "vertex_ids", vids)
-        object.__setattr__(self, "edges", es)
-        self._validate()
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("CurveCombinatorics is immutable")
-
-    def _validate(self):
-        if not self.vertex_ids:
+            incident[e.tail].append((e, 1))
+            if e.head is not None:
+                incident[e.head].append((e, -1))
+        if not vids:
             raise CurveValidationError("connectivity", "curve has no vertices")
         # connectivity over finite edges
-        adjacency: dict[int, list[int]] = {v: [] for v in self.vertex_ids}
-        for e in self.edges:
-            if e.head is not None:
-                adjacency[e.tail].append(e.head)
-                adjacency[e.head].append(e.tail)
-        seen = {self.vertex_ids[0]}
-        stack = [self.vertex_ids[0]]
+        seen = {vids[0]}
+        stack = [vids[0]]
         while stack:
-            v = stack.pop()
-            for w in adjacency[v]:
-                if w not in seen:
+            for e, sign in incident[stack.pop()]:
+                w = e.head if sign > 0 else e.tail
+                if w is not None and w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) != len(self.vertex_ids):
+        if len(seen) != len(vids):
             raise CurveValidationError("connectivity", "graph is not connected")
-        # valence
-        valence = {v: 0 for v in self.vertex_ids}
-        for e in self.edges:
-            valence[e.tail] += 1
-            if e.head is not None:
-                valence[e.head] += 1
-        for v, k in valence.items():
-            if k != 3:
-                raise CurveValidationError("valence", f"vertex {v} has valence {k}, expected 3")
+        for v, inc in incident.items():
+            if len(inc) != 3:
+                raise CurveValidationError("valence", f"vertex {v} has valence {len(inc)}, expected 3")
         # germ data: primitive directions, positive integer weights
-        for e in self.edges:
+        for e in es:
             dx, dy = e.direction
             _require_ints("germ", f"edge at vertex {e.tail}", dx, dy, e.weight)
             if (dx, dy) == (0, 0):
@@ -186,30 +179,29 @@ class CurveCombinatorics:
                 raise CurveValidationError("germ", f"direction {e.direction} is not primitive")
             if e.weight < 1:
                 raise CurveValidationError("germ", f"weight {e.weight!r} is not a positive integer")
-        # balancing
-        for v in self.vertex_ids:
-            sx = sy = 0
-            for e in self.edges:
-                if e.tail == v:
-                    sx += e.weight * e.direction[0]
-                    sy += e.weight * e.direction[1]
-                if e.head == v:
-                    sx -= e.weight * e.direction[0]
-                    sy -= e.weight * e.direction[1]
+        stars = {}
+        for v, inc in incident.items():
+            us = [(sign * e.weight * e.direction[0], sign * e.weight * e.direction[1]) for e, sign in inc]
+            sx = sum(u[0] for u in us)
+            sy = sum(u[1] for u in us)
             if (sx, sy) != (0, 0):
                 raise CurveValidationError("balancing", f"vertex {v} sums to ({sx},{sy})")
+            stars[v] = VertexStar(*us)
+        for v, star in stars.items():
+            if cross(star.u1, star.u2) == 0:
+                raise CurveValidationError("balancing", f"vertex {v} is degenerate: its vectors are parallel")
+        object.__setattr__(self, "vertex_ids", vids)
+        object.__setattr__(self, "edges", es)
+        object.__setattr__(self, "_stars", stars)
+
+    def __setattr__(self, name, value):  # pragma: no cover
+        raise AttributeError("CurveCombinatorics is immutable")
 
     # -- structure ------------------------------------------------------------
 
     def vertex_star(self, v: int) -> VertexStar:
-        us: list[Vec] = []
-        for e in self.edges:
-            if e.tail == v:
-                us.append(e.u())
-            if e.head == v:
-                us.append((-e.weight * e.direction[0], -e.weight * e.direction[1]))
-        assert len(us) == 3
-        return VertexStar(*us)
+        """The star stored at validation: tail edges give +u, head edges -u."""
+        return self._stars[v]
 
     def finite_edges(self) -> list[CurveEdge]:
         return [e for e in self.edges if not e.is_infinite]

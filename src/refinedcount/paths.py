@@ -80,8 +80,8 @@ and of the side profiles (one dict per side, keyed by path id; every dead
 entry is the one shared empty dict `_DEAD`), the live levels of each side,
 the balanced sub-degrees of its degree (enumerated once), the exponential
 formula's memo, and G of each genus already counted, so a repeat count
-only reads it back.  Nothing is cached at module level.  The engine and
-its tables are single-threaded.
+only reads it back.  `get_engine`'s `lru_cache` of engines is the only
+module-level cache.  The engine and its tables are single-threaded.
 """
 
 from __future__ import annotations

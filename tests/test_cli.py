@@ -296,6 +296,18 @@ def test_curve_report(capsys):
     assert "error:" in err
 
 
+def test_curve_with_a_degenerate_vertex_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps({"vertices": [{"id": 0}], "edges": [
+        {"from": 0, "to": "inf", "dir": [1, 0], "weight": 1},
+        {"from": 0, "to": "inf", "dir": [1, 0], "weight": 1},
+        {"from": 0, "to": "inf", "dir": [-1, 0], "weight": 2},
+    ]}))
+    code, out, err = run(capsys, "curve", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: balancing: vertex 0 is degenerate")
+
+
 def test_diagrams_listing(capsys):
     code, out, _ = run(capsys, "diagrams", "P2:d=4", "--genus", "1")
     assert code == 0

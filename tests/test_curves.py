@@ -101,7 +101,9 @@ def test_four_valent_vertex_resolutions_obey_the_local_identity():
     two trivalent vertices in three pairings (ij|kl), each weighing
     [|det(i,j)|] * [|det(k,l)|].  One pairing weighs the other two together,
     and the sign of det(a,c) * det(b,d) says which; the crossing pairing
-    (ac|bd) is never that one.  At y=1 this is the Plücker relation."""
+    (ac|bd) is never that one.  At y=1 this is the Plücker relation.  Where
+    all three products have integer powers (3,496 of the 6,112 quads) the
+    relation holds at y=-1 too."""
 
     def weight(u, v):
         return vertex_refined_mult(VertexStar(u, v, (-u[0] - v[0], -u[1] - v[1])))
@@ -111,7 +113,7 @@ def test_four_valent_vertex_resolutions_obey_the_local_identity():
     vecs = sorted(((x, y) for x in range(-4, 5) for y in range(-4, 5) if (x, y) != (0, 0)),
                   key=lambda v: math.atan2(v[1], v[0]))
     rank = {v: n for n, v in enumerate(vecs)}
-    seen = 0
+    seen = at_minus_one = 0
     for i, a in enumerate(vecs):
         for j in range(i + 1, len(vecs)):
             b = vecs[j]
@@ -131,7 +133,15 @@ def test_four_valent_vertex_resolutions_obey_the_local_identity():
                     assert ab == ac + ad
                 else:
                     assert ad == ab + ac
+                if all(p.has_integer_powers() for p in (ab, ac, ad)):
+                    at_minus_one += 1
+                    ab1, ac1, ad1 = (p.evaluate(-1) for p in (ab, ac, ad))
+                    if cross(a, c) * cross(b, d) > 0:
+                        assert ab1 == ac1 + ad1
+                    else:
+                        assert ad1 == ab1 + ac1
     assert seen == 6112
+    assert at_minus_one == 3496
 
 
 def test_validation_stage_connectivity():
@@ -200,6 +210,38 @@ def test_validation_stage_balancing():
                                  CurveEdge(0, None, (0, 1), 1),
                                  CurveEdge(0, None, (-1, -1), 2)])
     assert exc.value.stage == "balancing"
+
+
+def test_validation_rejects_a_degenerate_vertex():
+    # balanced, but the three vectors are parallel: no multiplicity to score
+    with pytest.raises(CurveValidationError, match="vertex 0 is degenerate") as exc:
+        CurveCombinatorics([0], [CurveEdge(0, None, (1, 0), 1),
+                                 CurveEdge(0, None, (1, 0), 1),
+                                 CurveEdge(0, None, (-1, 0), 2)])
+    assert exc.value.stage == "balancing"
+    # every vertex is checked for balance first: an unbalanced vertex after a
+    # degenerate one is still the failure reported
+    with pytest.raises(CurveValidationError, match=r"vertex 1 sums to \(-1,-1\)") as exc:
+        CurveCombinatorics([0, 1], [CurveEdge(0, 1, (1, 0), 1),
+                                    CurveEdge(0, None, (1, 0), 1),
+                                    CurveEdge(0, None, (-1, 0), 2),
+                                    CurveEdge(1, None, (0, 1), 1),
+                                    CurveEdge(1, None, (0, -1), 2)])
+    assert exc.value.stage == "balancing"
+
+
+def test_stored_vertex_stars_match_the_edges():
+    """Each star lists +u at an edge's tail and -u at its head, in edge order."""
+    for path in FIXTURES:
+        curve = CurveCombinatorics.from_json(path.read_text())
+        for v in curve.vertex_ids:
+            us = []
+            for e in curve.edges:
+                if e.tail == v:
+                    us.append((e.weight * e.direction[0], e.weight * e.direction[1]))
+                if e.head == v:
+                    us.append((-e.weight * e.direction[0], -e.weight * e.direction[1]))
+            assert curve.vertex_star(v).vectors() == tuple(us), (path.name, v)
 
 
 def test_json_round_trip_is_bit_exact():
