@@ -7,8 +7,9 @@ positive integer weight, balanced at every vertex.  Everything computed here
 (a product of quantum integers over the vertices) and its degree -- depends
 only on that data, and the multiplicities only on each vertex's star of
 outgoing weighted vectors.  A validated curve stores those stars, gathered in
-one pass over its edges, and rejects a degenerate vertex (three parallel
-vectors), which `vertex_complex_mult` refuses.
+one pass over its edges, and its degree, the balanced multiset of its ends'
+weighted vectors.  It rejects a degenerate vertex (three parallel vectors),
+which `vertex_complex_mult` refuses, and ends that do not form a degree.
 
 Curve files are JSON::
 
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .geometry import BalancedDegree, Vec, cross, delta_invariant
+from .geometry import BalancedDegree, DegreeError, Vec, cross, delta_invariant
 from .laurent import RefinedPoly, _json_int, quantum_integer
 
 
@@ -133,11 +134,13 @@ class CurveCombinatorics:
     and -1 at the head; the connectivity walk, valence and balancing read
     those lists, and each balanced vertex keeps its `VertexStar`, vectors in
     edge order, for `vertex_star`.  A degenerate vertex (three parallel
-    vectors) fails the balancing stage once every vertex is balanced, so a
-    curve that validates can always be scored.
+    vectors) fails the balancing stage once every vertex is balanced, and so,
+    last, do ends that do not form a `BalancedDegree` (fewer than three, or
+    all parallel); the degree is kept for `degree`.  So a curve that
+    validates can always be scored.
     """
 
-    __slots__ = ("vertex_ids", "edges", "_stars")
+    __slots__ = ("vertex_ids", "edges", "_stars", "_degree")
 
     def __init__(self, vertex_ids, edges):
         vids = tuple(vertex_ids)
@@ -190,9 +193,14 @@ class CurveCombinatorics:
         for v, star in stars.items():
             if cross(star.u1, star.u2) == 0:
                 raise CurveValidationError("balancing", f"vertex {v} is degenerate: its vectors are parallel")
+        try:
+            degree = BalancedDegree([e.u() for e in es if e.is_infinite])
+        except DegreeError as exc:
+            raise CurveValidationError("balancing", f"the unbounded ends do not form a degree: {exc}") from None
         object.__setattr__(self, "vertex_ids", vids)
         object.__setattr__(self, "edges", es)
         object.__setattr__(self, "_stars", stars)
+        object.__setattr__(self, "_degree", degree)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("CurveCombinatorics is immutable")
@@ -214,7 +222,8 @@ class CurveCombinatorics:
         return len(self.finite_edges()) - len(self.vertex_ids) + 1
 
     def degree(self) -> BalancedDegree:
-        return BalancedDegree([e.u() for e in self.infinite_edges()])
+        """The degree stored at validation: the ends' weighted vectors."""
+        return self._degree
 
     # -- JSON -----------------------------------------------------------------
 

@@ -4,21 +4,26 @@ Supported degrees: the triangle family P2(d) and the rectangle family
 P1xP1(d, r).  A curve stretched in the vertical direction decomposes into
 horizontal *floors* joined by vertical *elevators*; only the combinatorics
 survives.  Write in(v) / out(v) for the total weight of finite elevators
-reaching floor v from below / leaving it upward:
+reaching floor v from below / leaving it upward.
 
-* P2(d): d floors (1 = bottom).  Every floor satisfies
-  in(v) - out(v) + infinite_down(v) = 1 and the infinite downward weights
-  sum to d.  No upward infinite elevators.
-* P1xP1(d, r): r floors, out(v) + infinite_up(v) = in(v) + infinite_down(v),
-  and the infinite weights sum to d separately up and down.  The split of
-  each floor's divergence between up and down ends is a free choice, so one
-  weighted floor graph yields several diagrams.
+Both families are one parameterization, read off the degree's end counts:
+one floor per (-1,0) end, #(0,-1) infinite ends below and #(0,1) above, and
+a divergence s = (#(0,-1) - #(0,1)) / #floors that every floor absorbs:
+
+    in(v) + infinite_down(v) - out(v) - infinite_up(v) = s.
+
+So s = 1 for P2(d) (d floors, d ends below, none above) and s = 0 for
+P1xP1(d, r) (r floors, d ends below and d above).  Each floor's excess
+in(v) - out(v) - s is split between its ends below and above; where ends go
+both ways the split is a free choice, so one weighted floor graph may yield
+several diagrams.  The family name only gates support (`classify_family`)
+and labels the diagrams.
 
 The genus is the cycle count of the floor graph: #elevators - #floors + 1.
 
-Both families are generated by one recursion over the floors, bottom to
-top.  At each floor it ends some of the elevators crossing the gap below
-and starts new ones, and it drops a branch as soon as the floors so far need
+One recursion over the floors, bottom to top, generates the floor graphs.
+At each floor it ends some of the elevators crossing the gap below and
+starts new ones, and it drops a branch as soon as the floors so far need
 more infinite ends than the degree has, more elevators than the genus
 allows, or leave a connected piece with no elevator going up.
 
@@ -49,11 +54,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import comb, factorial
 from typing import Iterator, Optional
 
-from .geometry import BalancedDegree, UnsupportedDegreeError, p1xp1_degree, p2_degree
+from .geometry import BalancedDegree, UnsupportedDegreeError
 from .laurent import RefinedPoly, quantum_integer
 
 
@@ -89,16 +94,16 @@ class FloorDiagram:
 
 
 def classify_family(deg: BalancedDegree) -> Optional[tuple]:
-    """("P2", d) or ("P1xP1", (d, r)) when the degree matches a family."""
-    counts: dict[tuple[int, int], int] = {}
-    for v in deg.vectors:
-        counts[v] = counts.get(v, 0) + 1
-    keys = set(counts)
-    if keys == {(-1, 0), (0, -1), (1, 1)} and len(set(counts.values())) == 1:
+    """("P2", d) or ("P1xP1", (d, r)) when the degree matches a family.
+
+    The distinct vectors decide: balancing forces a(-1,0) + b(0,-1) + c(1,1)
+    = 0 to have a = b = c, and equal counts of opposite vectors in P1xP1.
+    """
+    counts = Counter(deg.vectors)
+    if counts.keys() == {(-1, 0), (0, -1), (1, 1)}:
         return ("P2", counts[(-1, 0)])
-    if keys == {(0, 1), (0, -1), (1, 0), (-1, 0)}:
-        if counts[(0, 1)] == counts[(0, -1)] and counts[(1, 0)] == counts[(-1, 0)]:
-            return ("P1xP1", (counts[(0, 1)], counts[(1, 0)]))
+    if counts.keys() == {(0, 1), (0, -1), (1, 0), (-1, 0)}:
+        return ("P1xP1", (counts[(0, 1)], counts[(1, 0)]))
     return None
 
 
@@ -114,20 +119,15 @@ def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
         )
     if g < 0:
         raise ValueError(f"no floor diagrams: genus {g} is negative")
-    name, params = family
-    if name == "P2":
-        # each floor absorbs one unit of weight, and no infinite end goes up
-        d = n_floors = params
-        sink, up_ends = 1, 0
-    else:
-        d, n_floors = params
-        sink, up_ends = 0, d
+    counts = Counter(deg.vectors)
+    n_floors, d, up_ends = counts[(-1, 0)], counts[(0, -1)], counts[(0, 1)]
+    sink = (d - up_ends) // n_floors  # exact for both families
     out: list[FloorDiagram] = []
     for elevators, excess in _floor_graphs(n_floors, g + n_floors - 1, d, sink, up_ends):
         for down in _down_choices(d, excess):
             assert sum(down) == d
             out.append(FloorDiagram(
-                family=name,
+                family=family[0],
                 n_floors=n_floors,
                 elevators=elevators,
                 infinite_down=down,
@@ -182,6 +182,10 @@ def _floor_graphs(
                     rec(v + 1, nxt, comp_v, done_v, excess + [e], left - len(started))
 
     rec(1, [], (), [], [], n_elevators)
+    # rec reaches itself through its closure; unbinding it frees the cycle,
+    # and with it `found`, as soon as the caller drops the result rather
+    # than at the next full garbage collection
+    del rec
     return found
 
 
@@ -199,24 +203,19 @@ def _weight_tuples(max_sum: int, max_len: int, max_w: int) -> Iterator[tuple[int
 def _down_choices(d: int, excess: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Nonnegative down-counts per floor summing to d with up-counts >= 0.
 
-    up(v) = down(v) + excess[v-1].  For P2 the minima already sum to d, so
-    there is exactly one choice; for P1xP1 the slack is spread freely.
+    up(v) = down(v) + excess[v-1], so floor v takes at least max(0, -excess)
+    ends below, and the slack left of d is spread over the n floors by stars
+    and bars: n - 1 bars among slack + n - 1 places.  For P2 the minima
+    already sum to d, so there is exactly one choice.
     """
     minima = [max(0, -e) for e in excess]
     n = len(minima)
     slack = d - sum(minima)
-    if slack < 0:
+    if slack < 0:  # one floor would still get one (negative) choice below
         return
-    def rec(v: int, left: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-        if v == n:
-            if left == 0:
-                yield tuple(acc)
-            return
-        for extra in range(left + 1):
-            acc.append(minima[v] + extra)
-            yield from rec(v + 1, left - extra, acc)
-            acc.pop()
-    yield from rec(0, slack, [])
+    for bars in combinations(range(slack + n - 1), n - 1):
+        cuts = (-1, *bars, slack + n - 1)
+        yield tuple(m + hi - lo - 1 for m, lo, hi in zip(minima, cuts, cuts[1:]))
 
 
 # -- markings ------------------------------------------------------------------

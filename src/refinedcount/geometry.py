@@ -4,9 +4,10 @@ A *degree* is a balanced multiset of nonzero integer vectors (the directions
 of a tropical curve's unbounded ends, with multiplicity); it determines a
 convex lattice polygon whose sides are orthogonal to the direction classes.
 This module provides both objects, the duality between them, exact lattice
-point counts (Pick's identity is asserted, never assumed), the expected
-degree delta(g, deg) of the refined count, the cyclic-order factor pi(deg),
-and the h-transverse shape data used by the floor-diagram engine and the
+point counts (Pick's identity gives the interior count from the area and the
+boundary count; `test_lattice_counts_match_brute_force` checks it against a
+brute-force count), the expected degree delta(g, deg) of the refined count,
+the cyclic-order factor pi(deg), and the h-transverse shape data used by the
 coefficient formulas in :mod:`refinedcount.analysis`.
 
 Everything here is exact integer arithmetic on plain tuples.

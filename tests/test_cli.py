@@ -308,6 +308,20 @@ def test_curve_with_a_degenerate_vertex_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: balancing: vertex 0 is degenerate")
 
 
+def test_curve_whose_ends_do_not_form_a_degree_is_a_usage_error(capsys, tmp_path):
+    theta = [{"from": 0, "to": 1, "dir": d, "weight": 1} for d in ([1, 0], [0, 1], [-1, -1])]
+    bubble = [{"from": 0, "to": "inf", "dir": [-1, 0], "weight": 2},
+              {"from": 0, "to": 1, "dir": [1, 1], "weight": 1},
+              {"from": 0, "to": 1, "dir": [1, -1], "weight": 1},
+              {"from": 1, "to": "inf", "dir": [1, 0], "weight": 2}]
+    for name, edges in (("bubble", bubble), ("theta", theta)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": [{"id": 0}, {"id": 1}], "edges": edges}))
+        code, out, err = run(capsys, "curve", str(path))
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: balancing: the unbounded ends do not form a degree"), name
+
+
 def test_diagrams_listing(capsys):
     code, out, _ = run(capsys, "diagrams", "P2:d=4", "--genus", "1")
     assert code == 0

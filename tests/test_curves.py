@@ -22,7 +22,7 @@ from refinedcount.curves import (
     vertex_real_mult,
     vertex_refined_mult,
 )
-from refinedcount.geometry import cross, p2_degree, parse_degree
+from refinedcount.geometry import BalancedDegree, cross, p2_degree, parse_degree
 from refinedcount.laurent import RefinedPoly, quantum_integer
 from oracles import triangle_interior_brute
 
@@ -228,6 +228,28 @@ def test_validation_rejects_a_degenerate_vertex():
                                     CurveEdge(1, None, (0, 1), 1),
                                     CurveEdge(1, None, (0, -1), 2)])
     assert exc.value.stage == "balancing"
+
+
+# balanced at every vertex, yet scoring needs a degree: a two-vertex bubble
+# with one end each way, and a theta graph with no ends at all
+BUBBLE = [CurveEdge(0, None, (-1, 0), 2), CurveEdge(0, 1, (1, 1), 1),
+          CurveEdge(0, 1, (1, -1), 1), CurveEdge(1, None, (1, 0), 2)]
+THETA = [CurveEdge(0, 1, (1, 0), 1), CurveEdge(0, 1, (0, 1), 1),
+         CurveEdge(0, 1, (-1, -1), 1)]
+
+
+def test_validation_rejects_ends_that_do_not_form_a_degree():
+    for edges in (BUBBLE, THETA):
+        with pytest.raises(CurveValidationError,
+                           match="the unbounded ends do not form a degree: "
+                                 "degree needs at least three vectors") as exc:
+            CurveCombinatorics([0, 1], edges)
+        assert exc.value.stage == "balancing"
+    # a curve that loads keeps the degree of its ends for scoring
+    for path in FIXTURES:
+        curve = CurveCombinatorics.from_json(path.read_text())
+        ends = BalancedDegree([e.u() for e in curve.infinite_edges()])
+        assert curve.degree() == ends == curve_multiplicities(curve).degree, path.name
 
 
 def test_stored_vertex_stars_match_the_edges():

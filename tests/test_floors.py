@@ -1,11 +1,16 @@
 """Floor-decomposition engine: diagram enumeration, markings, refined counts."""
 
+import random
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from refinedcount.floors import (
     FloorDiagram,
     UnsupportedDegreeError,
+    _down_choices,
     classify_family,
     compute_G_floor,
     enumerate_diagrams,
@@ -27,6 +32,7 @@ from oracles import (
     markings_count_brute,
     markings_count_downset,
     poset_size,
+    random_balanced_vectors,
 )
 
 
@@ -35,6 +41,56 @@ def test_classify_family():
     assert classify_family(p1xp1_degree(2, 3)) == ("P1xP1", (2, 3))
     assert classify_family(BalancedDegree([(2, 0), (0, 2), (-2, -2)])) is None
     assert classify_family(parse_degree("polygon:(0,0),(2,1),(0,2)")) is None
+
+
+def _family_by_construction(deg):
+    """The family whose constructor, fed the degree's own counts, rebuilds it."""
+    c = Counter(deg.vectors)
+    if c[(-1, 0)] and deg == p2_degree(c[(-1, 0)]):
+        return ("P2", c[(-1, 0)])
+    if c[(0, 1)] and c[(1, 0)] and deg == p1xp1_degree(c[(0, 1)], c[(1, 0)]):
+        return ("P1xP1", (c[(0, 1)], c[(1, 0)]))
+    return None
+
+
+def test_classify_family_near_misses_and_drawn_degrees():
+    # a family's vectors plus one more balanced line is no family
+    p2_plus_line = BalancedDegree(p2_degree(2).vectors + ((1, 0), (-1, 0)))
+    assert classify_family(p2_plus_line) is None
+    quadric_plus_line = BalancedDegree(p1xp1_degree(2, 3).vectors + ((1, 1), (-1, -1)))
+    assert classify_family(quadric_plus_line) is None
+    rng = random.Random(20261018)
+    hits = Counter()
+    # unit coordinates hit both families often; coordinates up to 2 draw wider
+    for coord, draws in ((1, 2000), (2, 1000)):
+        for _ in range(draws):
+            deg = BalancedDegree(random_balanced_vectors(rng, coord=coord))
+            family = classify_family(deg)
+            assert family == _family_by_construction(deg), deg
+            hits[family and family[0]] += 1
+    # the draws reach both families and plenty of other degrees
+    assert min(hits["P2"], hits["P1xP1"]) >= 20 and hits[None] >= 2000, hits
+
+
+def test_down_choices_match_a_brute_force_filter():
+    for n in range(1, 5):
+        for excess in product(range(-2, 3), repeat=n):
+            minima = [max(0, -e) for e in excess]
+            for d in range(5):
+                expected = sorted(
+                    down for down in product(range(d + 1), repeat=n)
+                    if sum(down) == d and all(k >= m for k, m in zip(down, minima))
+                )
+                got = sorted(_down_choices(d, excess))
+                assert got == expected, (d, excess)
+                if sum(minima) > d:
+                    assert got == []
+                elif sum(minima) == d:
+                    assert got == [tuple(minima)]
+    # one floor takes all d ends, or none fit
+    assert list(_down_choices(3, (1,))) == [(3,)]
+    assert list(_down_choices(3, (-2,))) == [(3,)]
+    assert list(_down_choices(3, (-4,))) == []
 
 
 def test_unsupported_degree_raises():
