@@ -87,12 +87,15 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
     entries: dict[tuple[str, int, str], dict] = {}
     if not path.exists():
         return entries
-    with path.open(encoding="utf-8") as fh:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which fails to
+    # encode inside the try below, so its line is reported as corrupt
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                line.encode("utf-8")
                 obj = json.loads(line)
                 RefinedPoly.from_json_obj(obj["poly"])
                 # only what append_cache writes: a bool or float would pass int() or ==

@@ -71,7 +71,8 @@ Inside the engine a path is its id: the bytes of its lambda ranks, in
 order.  The arcs, the live levels and every child the recursion builds are
 ids, and only `mu` (from points) and `path_multiplicity` (from a tuple)
 convert.  Ranks and profile labels each fit a byte, so the engine keeps its
-cap of MAX_POINTS lattice points.
+cap of MAX_POINTS lattice points, checked from Pick's counts (interior plus
+boundary points) before any lattice point is listed.
 
 Recursion states repeat heavily across paths and genera, so each
 (polygon, lambda) pair owns one long-lived engine (`get_engine`), and the
@@ -86,6 +87,7 @@ module-level cache.  The engine and its tables are single-threaded.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -108,6 +110,9 @@ from .laurent import _ONE, RefinedPoly, _accumulate, _add, _mul_quantum
 
 PLUS = "plus"
 MINUS = "minus"
+
+# `lex:` and two signed axes; which axes they are is checked after the match
+_LEX_RE = re.compile(r"lex:([+-])([^,]*),([+-])([^,]*)")
 
 @dataclass(frozen=True)
 class LambdaOrder:
@@ -139,23 +144,13 @@ class LambdaOrder:
 
     @classmethod
     def parse(cls, spec: str) -> "LambdaOrder":
-        text = spec.strip()
-        if not text.startswith("lex:"):
+        m = _LEX_RE.fullmatch(spec.strip())
+        if m is None:
             raise ValueError(f"unrecognised lambda order {spec!r}")
-        parts = text[len("lex:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"unrecognised lambda order {spec!r}")
-        signs = {"+": 1, "-": -1}
-        try:
-            p_sign = signs[parts[0][0]]
-            p_axis = parts[0][1:]
-            t_sign = signs[parts[1][0]]
-            t_axis = parts[1][1:]
-        except (KeyError, IndexError) as exc:
-            raise ValueError(f"unrecognised lambda order {spec!r}") from exc
+        p_sign, p_axis, t_sign, t_axis = m.groups()
         if {p_axis, t_axis} != {"x", "y"}:
             raise ValueError(f"lambda order must use both axes, got {spec!r}")
-        return cls(p_axis, p_sign, t_sign)
+        return cls(p_axis, 1 if p_sign == "+" else -1, 1 if t_sign == "+" else -1)
 
 
 DEFAULT_ORDER = LambdaOrder("x", 1, 1)
@@ -267,19 +262,36 @@ class PathEngine:
     def __init__(self, poly: LatticePolygon, lam: LambdaOrder):
         self.poly = poly
         self.lam = lam
-        pts = sorted(poly.lattice_points(), key=lam.key)
-        if len(pts) > MAX_POINTS:
+        # Pick's counts gate the polygon before any lattice point is listed
+        self.interior_count, self.kappa, _ = lattice_counts(poly)
+        n_points = self.interior_count + self.kappa
+        if n_points > MAX_POINTS:
             raise UnsupportedDegreeError(f"lattice-path engine supports at most {MAX_POINTS} "
-                                         f"lattice points in the polygon, got {len(pts)}")
+                                         f"lattice points in the polygon, got {n_points}")
+        pts = sorted(poly.lattice_points(), key=lam.key)
         self.points = pts                       # index = lambda rank
         self.id_of = {pt: i for i, pt in enumerate(pts)}
         self._xs = [x for x, _ in pts]
         self._ys = [y for _, y in pts]
-        counts = lattice_counts(poly)
-        self.interior_count = counts[0]
-        self.kappa = counts[1]
-        # base-case targets: the full boundary arcs as lambda-sorted path ids
-        self._arcs = {PLUS: self._arc_ids(ccw=False), MINUS: self._arc_ids(ccw=True)}
+        # base-case targets, as lambda-sorted path ids: the boundary arcs from
+        # the lambda-min point p to the lambda-max point q.  The CCW boundary
+        # cycle, rotated to start at p and split at q, walks from p to q with
+        # the region on the right of the chord p->q (the minus arc); the rest,
+        # closed at p, is the plus arc.  The asserts check each walk's side.
+        cyc: list[Vec] = []
+        for a, b in poly.edges():
+            d, length = primitive(vsub(b, a))
+            cyc.extend((a[0] + i * d[0], a[1] + i * d[1]) for i in range(length))
+        p, q = pts[0], pts[-1]
+        start = cyc.index(p)
+        cyc = cyc[start:] + cyc[:start]
+        k = cyc.index(q)
+        minus, plus = cyc[:k + 1], cyc[k:] + cyc[:1]
+        chord = vsub(q, p)
+        assert all(cross(chord, vsub(r, p)) <= 0 for r in minus)
+        assert all(cross(chord, vsub(r, p)) >= 0 for r in plus)
+        self._arcs = {PLUS: bytes(sorted(self.id_of[r] for r in plus)),
+                      MINUS: bytes(sorted(self.id_of[r] for r in minus))}
         plus_longer = len(self._arcs[PLUS]) >= len(self._arcs[MINUS])
         self._selective, self._other = (PLUS, MINUS) if plus_longer else (MINUS, PLUS)
         # live paths found backwards from each arc: one set per length, from
@@ -298,43 +310,6 @@ class PathEngine:
         # G per genus, and the exponential formula's memo keyed by (sub-degree, points)
         self._counts: dict[int, dict[int, int]] = {}
         self._curve_memo: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
-
-    def _boundary_cycle(self) -> list[Vec]:
-        """All boundary lattice points in CCW order starting at vertices[0]."""
-        out: list[Vec] = []
-        for a, b in self.poly.edges():
-            e = vsub(b, a)
-            d, length = primitive(e)
-            for i in range(length):
-                out.append((a[0] + i * d[0], a[1] + i * d[1]))
-        return out
-
-    def _arc_ids(self, ccw: bool) -> bytes:
-        """Boundary arc from the lambda-min to the lambda-max point.
-
-        Walking the CCW boundary cycle from p to q keeps the region to the
-        right of the chord p->q, i.e. yields the minus arc; the reverse walk
-        yields the plus arc.  Asserted via cross-product signs.  Returned as
-        the lambda-sorted path id: the recursion bottoms out exactly when a
-        path coincides with the whole arc, lattice point for lattice point.
-        """
-        cyc = self._boundary_cycle()
-        p, q = self.points[0], self.points[-1]
-        ip = cyc.index(p)
-        arc: list[Vec] = []
-        n = len(cyc)
-        i = ip
-        step = 1 if ccw else -1
-        while True:
-            arc.append(cyc[i])
-            if cyc[i] == q:
-                break
-            i = (i + step) % n
-        chord = vsub(q, p)
-        for r in arc:
-            s = cross(chord, vsub(r, p))
-            assert (s <= 0) if ccw else (s >= 0)
-        return bytes(sorted(self.id_of[r] for r in arc))
 
     # -- recursion -------------------------------------------------------------
 

@@ -251,6 +251,23 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache):
     assert len(isolated_cache.read_text().splitlines()) == 9
 
 
+def test_count_skips_a_cache_line_that_is_not_utf8(capsys, isolated_cache):
+    good = {"version": cli.CACHE_VERSION, "spec": "P2:d=3", "genus": 0, "engine": "path",
+            "poly": [[0, "99"]]}
+    # line 3 is well-formed JSON but for the byte inside its timestamp
+    bad_inside = json.dumps({**good, "genus": 1, "timestamp": ""}).encode().replace(b'""', b'"\xff"')
+    isolated_cache.write_bytes(json.dumps(good).encode() + b"\n\xff\n" + bad_inside + b"\n")
+    code, out, err = run(capsys, "count", "P2:d=3")
+    assert code == 0
+    assert "G: 99\n" in out  # the good entry is served
+    assert err.count("skipping corrupt cache line") == 2
+    assert f"{isolated_cache}:2: skipping corrupt cache line" in err
+    assert f"{isolated_cache}:3: skipping corrupt cache line" in err
+    code, out, _ = run(capsys, "count", "P2:d=3", "--genus", "1")
+    assert code == 0
+    assert "G: 1\n" in out  # computed, not served from line 3
+
+
 def test_count_both_never_trusts_cache(capsys, isolated_cache):
     wrong = {
         "spec": "P2:d=3",

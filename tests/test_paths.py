@@ -8,6 +8,7 @@ import pytest
 from refinedcount.floors import compute_G_floor
 from refinedcount.geometry import (
     BalancedDegree,
+    LatticePolygon,
     UnsupportedDegreeError,
     delta_invariant,
     dual_polygon,
@@ -44,10 +45,14 @@ def test_lambda_orders():
 
 
 def test_lambda_order_rejects_bad_specs():
-    for bad in ("", "lex:", "lex:+x", "lex:+x,+x", "lex:+z,+y", "deg:+x,+y",
-                "lex:x,y", "lex:+x,+y,+x"):
-        with pytest.raises(ValueError):
+    for bad in ("", "lex:", "lex:+x", "deg:+x,+y", "lex:x,y", "lex:+x,+y,+x"):
+        with pytest.raises(ValueError, match="^unrecognised lambda order"):
             LambdaOrder.parse(bad)
+    # two signed parts, but not the axes x and y
+    for bad in ("lex:+x,+x", "lex:+z,+y", "lex:+x ,+y", "lex:+,+y", "lex:++x,+y", "lex:+x\n,+y"):
+        with pytest.raises(ValueError, match="^lambda order must use both axes"):
+            LambdaOrder.parse(bad)
+    assert LambdaOrder.parse(" lex:+x,+y ") == DEFAULT_ORDER
     with pytest.raises(ValueError):
         LambdaOrder("z", 1, 1)
 
@@ -272,6 +277,16 @@ def test_engine_refuses_a_polygon_whose_labels_would_not_fit_a_byte():
         PathEngine(dual_polygon(p2_degree(22)), DEFAULT_ORDER)
     with pytest.raises(UnsupportedDegreeError):
         compute_G_path(p2_degree(22), 0)
+
+
+def test_engine_gate_reads_picks_counts_before_listing_points(monkeypatch):
+    def listing(self):
+        raise AssertionError("lattice points listed before the size gate")
+
+    monkeypatch.setattr(LatticePolygon, "lattice_points", listing)
+    for d, n_points in ((22, 276), (3000, 4504501)):
+        with pytest.raises(UnsupportedDegreeError, match=f"at most 256 lattice points .* got {n_points}$"):
+            PathEngine(dual_polygon(p2_degree(d)), DEFAULT_ORDER)
 
 
 def test_selective_side_has_the_longer_arc():
