@@ -84,7 +84,7 @@ def structural_checks(deg: BalancedDegree, g: int, G: RefinedPoly) -> InvariantR
         _check("symmetric under y -> 1/y", True, symmetric, symmetric),
         _check("nonnegative coefficients", True, nonnegative, nonnegative),
     ]
-    if G != RefinedPoly.zero() and delta is not None:
+    if G and delta is not None:
         checks.append(_check("degree equals delta", delta, G.degree(), G.degree() == delta))
         if delta.denominator == 1:
             want = pi_count(deg) * comb(g + int(delta), g)
@@ -129,35 +129,31 @@ def delta_minus_1_lower_bound(deg: BalancedDegree) -> tuple[int, int]:
     The guaranteed minimum of rational curves one double point short of the
     maximum is 7 for the triangle family (d >= 3) and 8 for the rectangle
     family (d, r >= 2).  The slack is a_{delta-1} minus the largest possible
-    contribution of the single maximal curve (3d-2-4, resp. 2d+2r-6); the
-    bound is sharp exactly when slack == bound.
+    contribution of the single maximal curve, kappa - 6 in both families
+    (kappa, the number of ends, is 3d, resp. 2d + 2r); the bound is sharp
+    exactly when slack == bound.
     """
     family = classify_family(deg)
     if family is None:
         raise ValueError("lower bound stated only for the P2 and P1xP1 families")
-    if family[0] == "P2":
-        d = family[1]
-        if d < 3:
-            raise ValueError(f"triangle family needs d >= 3, got d={d}")
-        bound = 7
-        max_single = 3 * d - 2 - 4
-    else:
-        d, r = family[1]
-        if d < 2 or r < 2:
-            raise ValueError(f"rectangle family needs d, r >= 2, got d={d}, r={r}")
-        bound = 8
-        max_single = 2 * d + 2 * r - 6
-    shape = h_transverse(dual_polygon(deg))
-    assert shape is not None
-    slack = a_delta_minus_1_formula(shape) - max_single
-    return bound, slack
+    kind, size = family
+    if kind == "P2" and size < 3:
+        raise ValueError(f"triangle family needs d >= 3, got d={size}")
+    if kind == "P1xP1" and min(size) < 2:
+        raise ValueError(f"rectangle family needs d, r >= 2, got d={size[0]}, r={size[1]}")
+    slack = a_delta_minus_1_formula(h_transverse(dual_polygon(deg))) - (deg.kappa - 6)
+    return (7 if kind == "P2" else 8), slack
 
 
 def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
-    """Both engines, all eight lambda orders, and the evaluation laws.
+    """Both engines, all eight lambda orders, and the evaluation law.
 
     The report is partial when the floor engine does not cover the degree's
-    shape: the agreement check is then omitted rather than failed.
+    shape: the agreement check is then omitted rather than failed.  The
+    count is the path engine's, whose degrees are primitive, so every end
+    has weight 1 and G has integer powers.  The one evaluation law is then
+    |G(-1)| <= G(1) with equal parity; it fails, rather than raising, if G
+    ever has a half-integer power.
     """
     by_order = {lam.spec(): compute_G_path(deg, g, lam=lam) for lam in all_orders()}
     G = by_order[DEFAULT_ORDER.spec()]
@@ -174,19 +170,16 @@ def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
         floor_G = compute_G_floor(deg, g)
         checks.append(_check("engine agreement", G, floor_G, floor_G == G))
     value_1 = G.evaluate(1)
-    if G.has_integer_powers():
-        value_m1 = G.evaluate(-1)
-        ok = abs(value_m1) <= value_1 and (value_1 - value_m1) % 2 == 0
-        checks.append(
-            _check(
-                "evaluations at (1, -1)",
-                "|value at -1| <= value at 1, equal parity",
-                (value_1, value_m1),
-                ok,
-            )
+    value_m1 = G.evaluate(-1) if G.has_integer_powers() else None
+    ok = value_m1 is not None and abs(value_m1) <= value_1 and (value_1 - value_m1) % 2 == 0
+    checks.append(
+        _check(
+            "evaluations at (1, -1)",
+            "|value at -1| <= value at 1, equal parity",
+            (value_1, value_m1),
+            ok,
         )
-    else:
-        checks.append(_check("evaluation at 1", "nonnegative", value_1, value_1 >= 0))
+    )
     try:
         delta = delta_invariant(g, deg)
     except ValueError:
@@ -198,15 +191,16 @@ def analyze(deg: BalancedDegree, g: int) -> InvariantReport:
     """Full per-count report: structural laws plus the a_{delta-1} formula.
 
     The formula check appears only where it applies: genus 0, h-transverse
-    dual polygon, nonempty interior.
+    dual polygon, nonempty interior.  The degree is primitive (the path
+    engine takes no other), so at genus 0 delta is the polygon's interior
+    point count, an integer, and positive exactly when the interior is
+    nonempty.
     """
     G = compute_G_path(deg, g)
     report = structural_checks(deg, g, G)
-    if g == 0 and report.delta is not None and report.delta.denominator == 1:
-        poly = dual_polygon(deg)
-        shape = h_transverse(poly)
-        interior, _, _ = lattice_counts(poly)
-        if shape is not None and interior > 0:
+    if g == 0 and report.delta > 0:
+        shape = h_transverse(dual_polygon(deg))
+        if shape is not None:
             want = a_delta_minus_1_formula(shape)
             got = G.coefficient(report.delta - 1)
             report.checks.append(_check("a_{delta-1}", want, got, got == want))

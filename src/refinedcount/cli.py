@@ -189,17 +189,14 @@ def cmd_count(args: argparse.Namespace) -> int:
         G_floor = compute_G_floor(deg, args.genus)
         G = compute_G_path(deg, args.genus, lam)
         agreement = G_floor == G
-        if cached is None and agreement:
-            append_cache(path, spec, args.genus, "both", G)
     elif cached is not None and not args.verify_cache:
         G = RefinedPoly.from_json_obj(cached["poly"])
+    elif args.engine == "floor":
+        G = compute_G_floor(deg, args.genus)
     else:
-        if args.engine == "floor":
-            G = compute_G_floor(deg, args.genus)
-        else:
-            G = compute_G_path(deg, args.genus, lam)
-        if cached is None:
-            append_cache(path, spec, args.genus, args.engine, G)
+        G = compute_G_path(deg, args.genus, lam)
+    if cached is None and agreement is not False:
+        append_cache(path, spec, args.genus, args.engine, G)
 
     verify_failed = False
     if args.verify_cache and cached is not None:

@@ -7,9 +7,11 @@ positive integer weight, balanced at every vertex.  Everything computed here
 (a product of quantum integers over the vertices) and its degree -- depends
 only on that data, and the multiplicities only on each vertex's star of
 outgoing weighted vectors.  A validated curve stores those stars, gathered in
-one pass over its edges, and its degree, the balanced multiset of its ends'
-weighted vectors.  It rejects a degenerate vertex (three parallel vectors),
-which `vertex_complex_mult` refuses, and ends that do not form a degree.
+one pass over its edges, and its scores: validation computes each vertex's
+complex multiplicity once, to reject a degenerate vertex (three parallel
+vectors), and keeps the `CurveStats` built from them, with the degree, the
+balanced multiset of its ends' weighted vectors.  Ends that do not form a
+degree are rejected.  `curve_multiplicities` returns the stored record.
 
 Curve files are JSON::
 
@@ -30,7 +32,7 @@ from math import gcd
 from typing import Optional
 
 from .geometry import BalancedDegree, DegreeError, Vec, cross, delta_invariant
-from .laurent import RefinedPoly, _json_int, quantum_integer
+from .laurent import _ONE, RefinedPoly, _json_int, _mul_quantum, quantum_integer
 
 
 class CurveValidationError(ValueError):
@@ -133,14 +135,16 @@ class CurveCombinatorics:
     over the edges lists each vertex's incident edges, signed +1 at the tail
     and -1 at the head; the connectivity walk, valence and balancing read
     those lists, and each balanced vertex keeps its `VertexStar`, vectors in
-    edge order, for `vertex_star`.  A degenerate vertex (three parallel
-    vectors) fails the balancing stage once every vertex is balanced, and so,
-    last, do ends that do not form a `BalancedDegree` (fewer than three, or
-    all parallel); the degree is kept for `degree`.  So a curve that
-    validates can always be scored.
+    edge order, for `vertex_star`.  Once every vertex is balanced, each
+    vertex's complex multiplicity |det(u1, u2)| is computed once: 0 (three
+    parallel vectors) fails the balancing stage, and so, last, do ends that
+    do not form a `BalancedDegree` (fewer than three, or all parallel).  A
+    curve that validates is scored from those multiplicities there and then:
+    its `CurveStats` is stored, and `degree` and `curve_multiplicities` read
+    it.
     """
 
-    __slots__ = ("vertex_ids", "edges", "_stars", "_degree")
+    __slots__ = ("vertex_ids", "edges", "_stars", "_stats")
 
     def __init__(self, vertex_ids, edges):
         vids = tuple(vertex_ids)
@@ -190,8 +194,9 @@ class CurveCombinatorics:
             if (sx, sy) != (0, 0):
                 raise CurveValidationError("balancing", f"vertex {v} sums to ({sx},{sy})")
             stars[v] = VertexStar(*us)
-        for v, star in stars.items():
-            if cross(star.u1, star.u2) == 0:
+        mults = [abs(cross(star.u1, star.u2)) for star in stars.values()]
+        for v, m in zip(stars, mults):
+            if m == 0:
                 raise CurveValidationError("balancing", f"vertex {v} is degenerate: its vectors are parallel")
         try:
             degree = BalancedDegree([e.u() for e in es if e.is_infinite])
@@ -200,7 +205,14 @@ class CurveCombinatorics:
         object.__setattr__(self, "vertex_ids", vids)
         object.__setattr__(self, "edges", es)
         object.__setattr__(self, "_stars", stars)
-        object.__setattr__(self, "_degree", degree)
+        mu_c, mu_r, refined = 1, 1, _ONE
+        for star, m in zip(stars.values(), mults):
+            mu_c *= m
+            mu_r *= vertex_real_mult(star)
+            refined = _mul_quantum(refined, m)
+        refined = RefinedPoly.from_half_units(refined)
+        stats = CurveStats(mu_c, mu_r, refined, refined.degree(), self.genus(), degree)
+        object.__setattr__(self, "_stats", stats)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("CurveCombinatorics is immutable")
@@ -223,7 +235,7 @@ class CurveCombinatorics:
 
     def degree(self) -> BalancedDegree:
         """The degree stored at validation: the ends' weighted vectors."""
-        return self._degree
+        return self._stats.degree
 
     # -- JSON -----------------------------------------------------------------
 
@@ -297,23 +309,10 @@ class CurveStats:
 
 
 def curve_multiplicities(curve: CurveCombinatorics) -> CurveStats:
-    """All per-curve multiplicities: products of the per-vertex quantities."""
-    mu_c = 1
-    mu_r = 1
-    refined = RefinedPoly.one()
-    for v in curve.vertex_ids:
-        star = curve.vertex_star(v)
-        mu_c *= vertex_complex_mult(star)
-        mu_r *= vertex_real_mult(star)
-        refined = refined * vertex_refined_mult(star)
-    return CurveStats(
-        mu_complex=mu_c,
-        mu_real=mu_r,
-        refined=refined,
-        alpha=refined.degree(),
-        genus=curve.genus(),
-        degree=curve.degree(),
-    )
+    """All per-curve multiplicities, stored at validation: mu_C and mu_R are
+    the products of the vertices' complex and real multiplicities, and the
+    refined multiplicity the product of their quantum integers."""
+    return curve._stats
 
 
 def delta_class(alpha: Fraction | int, g: int, deg: BalancedDegree) -> Fraction:

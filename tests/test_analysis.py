@@ -117,18 +117,19 @@ def test_second_coefficient_formula_needs_interior_points():
 
 
 def test_lower_bound_is_sharp_for_small_families():
-    assert delta_minus_1_lower_bound(p2_degree(3)) == (7, 7)
-    assert delta_minus_1_lower_bound(p2_degree(4)) == (7, 7)
-    assert delta_minus_1_lower_bound(p1xp1_degree(2, 2)) == (8, 8)
-    assert delta_minus_1_lower_bound(p1xp1_degree(2, 3)) == (8, 8)
+    for d in range(3, 9):
+        assert delta_minus_1_lower_bound(p2_degree(d)) == (7, 7), d
+    for d in range(2, 6):
+        for r in range(2, 6):
+            assert delta_minus_1_lower_bound(p1xp1_degree(d, r)) == (8, 8), (d, r)
 
 
 def test_lower_bound_rejects_out_of_scope_degrees():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^triangle family needs d >= 3, got d=2$"):
         delta_minus_1_lower_bound(p2_degree(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rectangle family needs d, r >= 2, got d=1, r=2$"):
         delta_minus_1_lower_bound(p1xp1_degree(1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^lower bound stated only for the P2 and P1xP1 families$"):
         delta_minus_1_lower_bound(BalancedDegree([(2, 0), (0, 2), (-2, -2)]))
 
 

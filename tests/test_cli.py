@@ -77,6 +77,9 @@ def test_count_both_engines_agree(capsys):
     code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "both")
     assert code == 0
     assert "agreement: ok" in out
+    code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "both", "--format", "json")
+    assert code == 0
+    assert out.endswith('"agreement": true}\n')
 
 
 def test_count_half_integer_delta_omits_minus_1(capsys):
@@ -237,18 +240,26 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache):
         entry(genus=True),
         entry(version=True, genus=0.9),
         entry(poly=[[1.9, "1"], [0, 10.7], [-1, True]]),
+        # only the decimal strings append_cache writes
+        entry(poly=[[0, "01"]]),
+        entry(poly=[[0, "+1"]]),
+        entry(poly=[[0, "0"]]),
+        entry(poly=[[0, 1]]),
+        # a whitespace-only line is skipped without a warning
+        " \t ",
     ]
     isolated_cache.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, "count", "P2:d=3")
     assert code == 0
     assert "G: y+10+y^-1" in out
-    assert err.count("skipping corrupt cache line") == 7
+    assert err.count("skipping corrupt cache line") == 11
+    assert err.count("malformed polynomial term") == 4
     code, out, err = run(capsys, "count", "P2:d=3", "--genus", "1")
     assert code == 0
     assert "G: 1\n" in out
-    assert err.count("skipping corrupt cache line") == 7
-    # the fresh results are appended after the corrupt lines
-    assert len(isolated_cache.read_text().splitlines()) == 9
+    assert err.count("skipping corrupt cache line") == 11
+    # the fresh results are appended after the corrupt and blank lines
+    assert len(isolated_cache.read_text().splitlines()) == 14
 
 
 def test_count_skips_a_cache_line_that_is_not_utf8(capsys, isolated_cache):

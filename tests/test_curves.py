@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from refinedcount import curves as curves_module
 from refinedcount.curves import (
     CurveCombinatorics,
     CurveEdge,
@@ -148,6 +149,9 @@ def test_validation_stage_connectivity():
     with pytest.raises(CurveValidationError) as exc:
         CurveCombinatorics([0, 0], [])
     assert exc.value.stage == "connectivity"
+    with pytest.raises(CurveValidationError, match="curve has no vertices") as exc:
+        CurveCombinatorics([], [])
+    assert exc.value.stage == "connectivity"
     with pytest.raises(CurveValidationError) as exc:
         CurveCombinatorics([0], [CurveEdge(0, 7, (1, 0), 1)])
     assert exc.value.stage == "connectivity"
@@ -195,6 +199,11 @@ def test_validation_stage_germ():
         CurveCombinatorics([0], [CurveEdge(0, None, (1, 0), 0),
                                  CurveEdge(0, None, (0, 1), 1),
                                  CurveEdge(0, None, (-1, -1), 1)])
+    assert exc.value.stage == "germ"
+    with pytest.raises(CurveValidationError, match="edge at vertex 0 has zero direction") as exc:
+        CurveCombinatorics([0], [CurveEdge(0, None, (0, 0), 1),
+                                 CurveEdge(0, None, (1, 0), 1),
+                                 CurveEdge(0, None, (-1, 0), 1)])
     assert exc.value.stage == "germ"
     # a bool weight or a float direction is not an integer, whatever it equals
     for edge in (CurveEdge(0, None, (1, 0), True), CurveEdge(0, None, (1.0, 0), 1)):
@@ -264,6 +273,26 @@ def test_stored_vertex_stars_match_the_edges():
                 if e.head == v:
                     us.append((-e.weight * e.direction[0], -e.weight * e.direction[1]))
             assert curve.vertex_star(v).vectors() == tuple(us), (path.name, v)
+
+
+def test_a_curve_is_scored_once_at_validation(monkeypatch):
+    """Validation stores the scores; reading them does no per-vertex work."""
+    curves = [CurveCombinatorics.from_json(path.read_text()) for path in FIXTURES]
+    for path, curve in zip(FIXTURES, curves):
+        assert curve_multiplicities(curve) is curve_multiplicities(curve), path.name
+    calls = []
+
+    def counted(star):
+        calls.append(star)
+        return vertex_complex_mult(star)
+
+    monkeypatch.setattr(curves_module, "vertex_complex_mult", counted)
+    for curve in curves:
+        property_report(curve)
+    assert calls == []
+    # the counter is live: validation scores each vertex's real multiplicity
+    curve = load("delta4_genus3.json")
+    assert 0 < len(calls) <= 2 * len(curve.vertex_ids)
 
 
 def test_json_round_trip_is_bit_exact():

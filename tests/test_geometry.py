@@ -106,6 +106,8 @@ def test_polygon_canonical_form():
     b = LatticePolygon([(0, 3), (0, 0), (3, 0)])
     assert a == b
     assert a.vertices[0] == (0, 0)
+    # a clockwise vertex list gives the counterclockwise polygon
+    assert LatticePolygon([(0, 0), (0, 2), (3, 0)]) == LatticePolygon([(0, 0), (3, 0), (0, 2)])
 
 
 def test_sides_and_lattice_points():
@@ -200,6 +202,10 @@ def test_parse_degree_forms():
     assert parse_degree("vectors:(2,0);(0,2);(-2,-2)") == BalancedDegree(
         [(2, 0), (0, 2), (-2, -2)]
     )
+    # an empty entry between separators is skipped
+    assert parse_degree("vectors:(1,0);;(-1,1);(0,-1)") == BalancedDegree(
+        [(1, 0), (-1, 1), (0, -1)]
+    )
 
 
 def test_parse_degree_errors():
@@ -207,6 +213,8 @@ def test_parse_degree_errors():
                 "polygon:(0,0),(1,0)", "polygon:nonsense", ""):
         with pytest.raises(ValueError):
             parse_degree(bad)
+    with pytest.raises(ValueError, match=r"malformed vector entry '\(1,0\)y2'"):
+        parse_degree("vectors:(1,0)y2;(0,1)")
 
 
 def test_canonical_spec_round_trip():
