@@ -107,9 +107,14 @@ def vertex_interior_points(star: VertexStar) -> int:
 
 
 def vertex_real_mult(star: VertexStar) -> int:
-    """0 when the complex multiplicity is even, else (-1)^(interior points)."""
-    m = vertex_complex_mult(star)
-    if m % 2 == 0:
+    """0 when the complex multiplicity is even, else (-1)^(interior points).
+
+    By Pick, m = 2 * interior + (w1 + w2 + w3) - 2, so m is even exactly
+    when the three weights sum to an even number, and only an odd vertex
+    needs m (through `vertex_interior_points`).  A degenerate star (m = 0)
+    has an even weight sum, so it gets 0.
+    """
+    if sum(star.weights()) % 2 == 0:
         return 0
     return -1 if vertex_interior_points(star) % 2 else 1
 

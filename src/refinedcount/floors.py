@@ -21,11 +21,11 @@ and labels the diagrams.
 
 The genus is the cycle count of the floor graph: #elevators - #floors + 1.
 
-One recursion over the floors, bottom to top, generates the floor graphs.
-At each floor it ends some of the elevators crossing the gap below and
-starts new ones, and it drops a branch as soon as the floors so far need
-more infinite ends than the degree has, more elevators than the genus
-allows, or leave a connected piece with no elevator going up.
+One depth-first loop over the floors, bottom to top, generates the floor
+graphs.  At each floor it ends some of the elevators crossing the gap
+below and starts new ones, and it drops a branch as soon as the floors so
+far need more infinite ends than the degree has, more elevators than the
+genus allows, or leave a connected piece with no elevator going up.
 
 A *marking* is a word in the floors and elevators of D that lists the
 floors bottom to top, each finite elevator (lower, upper, w) between its
@@ -59,7 +59,7 @@ from math import comb, factorial
 from typing import Iterator, Optional
 
 from .geometry import BalancedDegree, UnsupportedDegreeError
-from .laurent import RefinedPoly, quantum_integer
+from .laurent import _ONE, RefinedPoly, _accumulate, _mul_quantum
 
 
 @dataclass(frozen=True)
@@ -152,10 +152,11 @@ def _floor_graphs(
     """
     found: list = []
 
-    def rec(v, crossing, comp, done, excess, left):
-        # crossing: (lower, weight) of each elevator crossing the gap under
-        # floor v; comp[u-1]: the component label of floor u < v.  Equal
-        # elevators are ended by count, so each multiset is built once.
+    def grow(v, crossing, comp, done, excess, left):
+        # yields the states of floor v + 1.  crossing: (lower, weight) of
+        # each elevator crossing the gap under floor v; comp[u-1]: the
+        # component label of floor u < v.  Equal elevators are ended by
+        # count, so each multiset is built once.
         downs = sum(max(0, -e) for e in excess)
         ups = sum(max(0, e) for e in excess)
         classes = sorted(Counter(crossing).items())
@@ -179,13 +180,16 @@ def _floor_graphs(
                     continue
                 nxt = passing + [(v, w) for w in started]
                 if set(comp_v) <= {comp_v[lo - 1] for lo, _ in nxt}:
-                    rec(v + 1, nxt, comp_v, done_v, excess + [e], left - len(started))
+                    yield v + 1, nxt, comp_v, done_v, excess + [e], left - len(started)
 
-    rec(1, [], (), [], [], n_elevators)
-    # rec reaches itself through its closure; unbinding it frees the cycle,
-    # and with it `found`, as soon as the caller drops the result rather
-    # than at the next full garbage collection
-    del rec
+    # depth first, with one suspended generator per floor of the current branch
+    stack = [grow(1, [], (), [], [], n_elevators)]
+    while stack:
+        for state in stack[-1]:
+            stack.append(grow(*state))
+            break
+        else:
+            stack.pop()
     return found
 
 
@@ -280,26 +284,25 @@ def markings_count(D: FloorDiagram) -> int:
     return labeled // sym
 
 
-def _weights_multiplicity(weights) -> RefinedPoly:
-    mult = RefinedPoly.one()
+def _weights_multiplicity(weights) -> dict[int, int]:
+    """prod [w]^2 over the weights, as a half-unit dict."""
+    mult = _ONE
     for w in weights:
-        q = quantum_integer(w)
-        mult = mult * q * q
+        mult = _mul_quantum(_mul_quantum(mult, w), w)
     return mult
 
 
 def refined_multiplicity(D: FloorDiagram) -> RefinedPoly:
     """Product of [w]^2 over finite elevators."""
-    return _weights_multiplicity(w for _, _, w in D.elevators)
+    return RefinedPoly.from_half_units(_weights_multiplicity(w for _, _, w in D.elevators))
 
 
 def compute_G_floor(deg: BalancedDegree, g: int) -> RefinedPoly:
     """Sum of nu(D) * mult(D) over all floor diagrams, one product per weight multiset."""
-    nu: dict[tuple[int, ...], int] = {}
+    nu: Counter[tuple[int, ...]] = Counter()
     for D in enumerate_diagrams(deg, g):
-        weights = tuple(sorted(w for _, _, w in D.elevators))
-        nu[weights] = nu.get(weights, 0) + markings_count(D)
-    total = RefinedPoly.zero()
+        nu[tuple(sorted(w for _, _, w in D.elevators))] += markings_count(D)
+    total: dict[int, int] = {}
     for weights, count in nu.items():
-        total = total + count * _weights_multiplicity(weights)
-    return total
+        _accumulate(total, _weights_multiplicity(weights), _ONE, count)
+    return RefinedPoly.from_half_units(total)

@@ -16,9 +16,10 @@ Everything here is exact integer arithmetic on plain tuples.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, factorial
+from math import factorial, gcd, prod
 from typing import Iterable, Optional
 
 from .laurent import _json_int
@@ -77,11 +78,6 @@ def _direction_key(v: Vec) -> tuple[int, int, Fraction]:
     return (half, 1, Fraction(-x, y))
 
 
-def ccw_direction_sort(vs: Iterable[Vec]) -> list[Vec]:
-    """Sort vectors by direction counterclockwise starting at (1,0)."""
-    return sorted(vs, key=_direction_key)
-
-
 @dataclass(frozen=True, slots=True)
 class BalancedDegree:
     """A balanced multiset of nonzero integer vectors spanning the plane.
@@ -125,11 +121,8 @@ class BalancedDegree:
 
     def canonical_spec(self) -> str:
         """Deterministic `vectors:` spec string; used as a cache key."""
-        counts: dict[Vec, int] = {}
-        for v in self.vectors:
-            counts[v] = counts.get(v, 0) + 1
-        parts = [f"({x},{y})x{counts[(x, y)]}" for x, y in sorted(counts)]
-        return "vectors:" + ";".join(parts)
+        counts = sorted(Counter(self.vectors).items())
+        return "vectors:" + ";".join(f"({x},{y})x{k}" for (x, y), k in counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,15 +231,12 @@ def dual_polygon(deg: BalancedDegree) -> LatticePolygon:
         p, _ = primitive(v)
         sx, sy = classes.get(p, (0, 0))
         classes[p] = (sx + v[0], sy + v[1])
-    normals = ccw_direction_sort(classes.keys())
     point = (0, 0)
     verts = []
-    for nrm in normals:
+    for nrm in sorted(classes, key=_direction_key):
         verts.append(point)
         s = classes[nrm]
         point = (point[0] - s[1], point[1] + s[0])
-    if point != (0, 0):
-        raise DegreeError("degree is not balanced")  # unreachable for valid input
     return LatticePolygon(verts)
 
 
@@ -294,20 +284,12 @@ def pi_count(deg: BalancedDegree) -> int:
     """Number of cyclic orders of the degree compatible with the CCW direction order.
 
     Within a direction class the vectors may be shuffled, except that equal
-    vectors are indistinguishable: the count is the product over classes of
-    multinomial coefficients (class size)! / prod (multiplicity of each
-    distinct vector)!.
+    vectors are indistinguishable: the count is prod (class size)! over the
+    classes divided by prod (copies of each vector)! over the distinct
+    vectors.
     """
-    result = 1
-    for p, multiples in deg.direction_classes().items():
-        counts: dict[int, int] = {}
-        for m in multiples:
-            counts[m] = counts.get(m, 0) + 1
-        class_perms = factorial(len(multiples))
-        for c in counts.values():
-            class_perms //= factorial(c)
-        result *= class_perms
-    return result
+    shuffles = prod(factorial(len(ms)) for ms in deg.direction_classes().values())
+    return shuffles // prod(factorial(k) for k in Counter(deg.vectors).values())
 
 
 @dataclass(frozen=True)
@@ -428,14 +410,14 @@ def parse_degree(spec: str) -> BalancedDegree:
             chunk = chunk.strip()
             if not chunk:
                 continue
-            m = re.fullmatch(r"(\(\s*-?\d+\s*,\s*-?\d+\s*\))(?:x(\d+))?", chunk)
+            m = re.fullmatch(_VEC_RE.pattern + r"(?:x(\d+))?", chunk)
             if not m:
                 raise ValueError(f"malformed vector entry {chunk!r}")
-            (v,) = _parse_point_list(m.group(1))
-            mult = int(m.group(2)) if m.group(2) else 1
+            x, y, k = m.groups()
+            mult = int(k or 1)
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive in {chunk!r}")
-            vs.extend([v] * mult)
+            vs.extend([(int(x), int(y))] * mult)
         return BalancedDegree(vs)
     raise ValueError(f"unrecognised degree spec {spec!r}")
 

@@ -11,15 +11,15 @@ stands for the power y^(e/2)) to a nonzero integer coefficient.  All
 arithmetic is plain integer arithmetic on these dicts; no floats anywhere.
 
 The raw kernels `_ONE`, `_add`, `_mul`, `_mul_quantum` and `_accumulate` do
-this arithmetic for both engines: the floor engine through `RefinedPoly`,
-which wraps them, and the lattice-path engine directly on the dicts in its
-hot loops.  Coefficients of the polynomials produced by the engines are
-always positive.  `_add`, `_mul` and `RefinedPoly` allow any nonzero
-integers, so intermediate expressions and test constructions are
-unconstrained.  `_mul_quantum`, which runs in the path engine's innermost
-recursion, and `_accumulate`, which adds a scaled product into a dict in
-place, take nonnegative coefficients only, so their sums never cancel and
-they skip the zero test.
+this arithmetic: both engines and the curve scorer call them directly on
+the dicts, and `RefinedPoly`, which wraps them, is the type they return.
+Coefficients of the polynomials produced by the engines are always
+positive.  `_add`, `_mul` and `RefinedPoly` allow any nonzero integers, so
+intermediate expressions and test constructions are unconstrained.
+`_mul_quantum`, which runs in the path engine's innermost recursion, and
+`_accumulate`, which adds a scaled product into a dict in place, take
+nonnegative coefficients only, so their sums never cancel and they skip
+the zero test.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class RefinedPoly:
 
     @classmethod
     def constant(cls, n: int) -> "RefinedPoly":
-        return cls.from_half_units({0: n} if n else {})
+        return cls.from_half_units({0: n})
 
     # -- basic protocol ------------------------------------------------------
 
@@ -178,15 +178,13 @@ class RefinedPoly:
     __radd__ = __add__
 
     def __sub__(self, other: "RefinedPoly | int") -> "RefinedPoly":
-        if isinstance(other, int):
-            other = RefinedPoly.constant(other)
-        if not isinstance(other, RefinedPoly):
+        if not isinstance(other, (RefinedPoly, int)):
             return NotImplemented
-        return self + RefinedPoly.from_half_units({e: -v for e, v in other._c.items()})
+        return self + other * -1
 
     def __mul__(self, other: "RefinedPoly | int") -> "RefinedPoly":
         if isinstance(other, int):
-            return RefinedPoly.from_half_units({e: v * other for e, v in self._c.items()} if other else {})
+            return RefinedPoly.from_half_units({e: v * other for e, v in self._c.items()})
         if not isinstance(other, RefinedPoly):
             return NotImplemented
         return RefinedPoly.from_half_units(_mul(self._c, other._c))

@@ -58,6 +58,15 @@ def test_structural_checks_zero_polynomial_is_vacuous():
         "symmetric under y -> 1/y",
         "nonnegative coefficients",
     ]
+    # above genus_max the count is 0 and has no expected degree
+    above = structural_checks(p2_degree(3), 2, compute_G_path(p2_degree(3), 2))
+    assert above.delta is None
+    assert above.all_pass()
+    report = cross_validate(p2_degree(3), 2)
+    assert report.delta is None
+    assert report.all_pass()
+    assert report.checks[-1]["name"] == "evaluations at (1, -1)"
+    assert report.checks[-1]["actual"] == "(0, 0)"
 
 
 def test_structural_checks_detect_violations():

@@ -116,6 +116,9 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
         assert err.endswith(
             f"refined-count {argv[0]}: error: argument --genus: genus must be >= 0, got -1\n"
         )
+    code, out, err = run(capsys, "count", "P2:d=3", "--genus", "x")
+    assert (code, out) == (2, "")
+    assert err.endswith("argument --genus: invalid int value: 'x'\n")
     # so is a genus above genus_max, whichever engine would run: none runs
     def no_engine(*args, **kwargs):
         raise AssertionError("an engine ran")

@@ -275,6 +275,18 @@ def test_stored_vertex_stars_match_the_edges():
             assert curve.vertex_star(v).vectors() == tuple(us), (path.name, v)
 
 
+def test_real_multiplicity_reads_the_parity_of_the_weights():
+    # by Pick, m = 2 * interior + (w1 + w2 + w3) - 2 at every vertex
+    for path in FIXTURES:
+        curve = CurveCombinatorics.from_json(path.read_text())
+        for v in curve.vertex_ids:
+            star = curve.vertex_star(v)
+            m = vertex_complex_mult(star)
+            assert m % 2 == sum(star.weights()) % 2, path.name
+            expected = 0 if m % 2 == 0 else (-1) ** vertex_interior_points(star)
+            assert vertex_real_mult(star) == expected, path.name
+
+
 def test_a_curve_is_scored_once_at_validation(monkeypatch):
     """Validation stores the scores; reading them does no per-vertex work."""
     curves = [CurveCombinatorics.from_json(path.read_text()) for path in FIXTURES]
@@ -290,9 +302,10 @@ def test_a_curve_is_scored_once_at_validation(monkeypatch):
     for curve in curves:
         property_report(curve)
     assert calls == []
-    # the counter is live: validation scores each vertex's real multiplicity
+    # the counter is live: validation scores each vertex's real multiplicity,
+    # and only a vertex with an odd weight sum needs m, once
     curve = load("delta4_genus3.json")
-    assert 0 < len(calls) <= 2 * len(curve.vertex_ids)
+    assert 0 < len(calls) <= len(curve.vertex_ids) == 16
 
 
 def test_json_round_trip_is_bit_exact():

@@ -189,6 +189,8 @@ def test_h_transverse_shape_validation():
         HTransverseShape(0, 3, (0, 0, 1), (1, 1, 1))
     with pytest.raises(ValueError):
         HTransverseShape(0, 3, (0, 0), (1, 1, 1))
+    with pytest.raises(ValueError, match="d_right must be non-increasing"):
+        HTransverseShape(0, 3, (0, 0, 0), (1, 2, 1))
     shape = HTransverseShape(0, 2, (1, 0), (2, 1))
     assert shape.d == 2
     assert degree_from_polygon(shape.polygon()) == shape.degree()
@@ -201,6 +203,10 @@ def test_parse_degree_forms():
     assert parse_degree("vectors:(-1,0)x3;(0,-1)x3;(1,1)x3") == p2_degree(3)
     assert parse_degree("vectors:(2,0);(0,2);(-2,-2)") == BalancedDegree(
         [(2, 0), (0, 2), (-2, -2)]
+    )
+    # spaces around an entry are stripped, and x1 is the default written out
+    assert parse_degree("vectors: (1,0) ; (0,1) ;(-1,-1)x1") == BalancedDegree(
+        [(1, 0), (0, 1), (-1, -1)]
     )
     # an empty entry between separators is skipped
     assert parse_degree("vectors:(1,0);;(-1,1);(0,-1)") == BalancedDegree(

@@ -26,6 +26,7 @@ def test_zero_one_constant():
     assert RefinedPoly.zero() == 0
     assert RefinedPoly.one() == 1
     assert RefinedPoly.constant(5) == 5
+    assert (RefinedPoly.one() == "1") is False
     assert str(RefinedPoly.zero()) == "0"
 
 
@@ -108,11 +109,21 @@ def test_json_round_trip(p):
 def test_scalar_arithmetic(p, n):
     assert p * n == p * RefinedPoly.constant(n)
     assert p + n == p + RefinedPoly.constant(n)
+    assert p - n == p + (-n)
     assert n * p == p * n
+
+
+def test_arithmetic_rejects_other_types():
+    with pytest.raises(TypeError, match="coefficient 1.5 is not an int"):
+        RefinedPoly({0: 1.5})
+    for op in (lambda p: p + "1", lambda p: p - "1", lambda p: p * "1"):
+        with pytest.raises(TypeError):
+            op(RefinedPoly.one())
 
 
 def test_str_rendering():
     assert str(RefinedPoly({1: 1, 0: 10, -1: 1})) == "y+10+y^-1"
+    assert repr(RefinedPoly({1: 1, 0: 10, -1: 1})) == "RefinedPoly(y+10+y^-1)"
     assert str(G04()) == "y^3+13*y^2+94*y+404+94*y^-1+13*y^-2+y^-3"
     assert str(RefinedPoly({1: -1, 0: 3})) == "-y+3"
     assert str(RefinedPoly({2: 3, -2: 3, 0: 21})) == "3*y^2+21+3*y^-2"

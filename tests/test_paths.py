@@ -98,6 +98,8 @@ def test_cubic_classical_side_multiplicities():
     (elliptic,) = enumerate_paths(poly, 1)
     assert engine.mu(elliptic, PLUS) == 1
     assert engine.mu(elliptic, MINUS) == 1
+    # a path off the selective side's live level weighs nothing
+    assert engine.path_multiplicity((0, 9), 0) == {}
 
 
 def test_exact_counts_match_reference_values():
