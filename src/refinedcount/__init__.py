@@ -41,10 +41,8 @@ from .floors import (
 )
 from .paths import (
     LambdaOrder,
-    LatticePath,
     all_orders,
     compute_G_path,
-    enumerate_paths,
 )
 from .analysis import (
     InvariantReport,
@@ -87,10 +85,8 @@ __all__ = [
     "markings_count",
     "refined_multiplicity",
     "LambdaOrder",
-    "LatticePath",
     "all_orders",
     "compute_G_path",
-    "enumerate_paths",
     "InvariantReport",
     "a_delta_minus_1_formula",
     "analyze",

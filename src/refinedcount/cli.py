@@ -6,9 +6,16 @@ Subcommands:
                     cache the result in an append-only JSON-lines file.
 * ``curve``      -- multiplicity report for a single curve description file.
 * ``diagrams``   -- list the floor diagrams for a degree, one JSON per line.
-* ``paths``      -- list the lattice paths for a degree, one JSON per line.
+* ``paths``      -- list the lattice paths for a degree, one JSON per line,
+                    each with its two classical side multiplicities.
 * ``analyze``    -- structural-law report for one computed polynomial.
 * ``invariance`` -- ordering-independence and cross-engine agreement suite.
+
+``count``, ``curve``, ``analyze`` and ``invariance`` each build one record
+and print it through one emitter as a table, one JSON object or CSV rows.
+``paths`` prints each path as the engine yields its id, without building
+the list first.  A corrupt cache line, or a cache that cannot be written,
+never fails a command: it is reported on stderr and the count is printed.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 unsupported
 combination (e.g. the floor engine on a degree outside its two families).
@@ -54,7 +61,6 @@ from .paths import (
     LambdaOrder,
     _require_primitive,
     compute_G_path,
-    enumerate_paths,
     get_engine,
 )
 
@@ -72,10 +78,6 @@ CACHE_VERSION = 1
 # -- result cache ---------------------------------------------------------------
 
 
-def cache_path() -> Path:
-    return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE))
-
-
 def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
     """Map (canonical spec, genus, engine) -> newest entry; corrupt lines are skipped.
 
@@ -83,9 +85,10 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
     A cache must never make the tool fail: anything unreadable is reported
     on stderr and ignored.  A well-formed entry written under another
     CACHE_VERSION, or none, is skipped silently and so gets recomputed.
+    A missing cache, or a path that is not a file, holds no entries.
     """
     entries: dict[tuple[str, int, str], dict] = {}
-    if not path.exists():
+    if not path.is_file():
         return entries
     # a byte that is not UTF-8 decodes to a lone surrogate, which fails to
     # encode inside the try below, so its line is reported as corrupt
@@ -115,6 +118,7 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
 
 
 def append_cache(path: Path, spec: str, genus: int, engine: str, G: RefinedPoly) -> None:
+    """Append one entry; a cache that cannot be written is reported on stderr."""
     entry = {
         "version": CACHE_VERSION,
         "spec": spec,
@@ -123,36 +127,35 @@ def append_cache(path: Path, spec: str, genus: int, engine: str, G: RefinedPoly)
         "poly": G.to_json_obj(),
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    with path.open("a", encoding="utf-8") as fh:
-        fh.write(json.dumps(entry) + "\n")
+    try:
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry) + "\n")
+    except OSError as exc:
+        print(f"warning: cache not written: {exc}", file=sys.stderr)
 
 
 # -- shared helpers -------------------------------------------------------------
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _emit(fmt: str, table_lines: list[str], json_obj: dict, csv_rows: list[list]) -> None:
+    """Print one record in the chosen format: table lines, one JSON object or CSV rows."""
+    if fmt == "json":
+        print(json.dumps(json_obj))
+    elif fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
+    else:
+        print("\n".join(table_lines))
 
 
 def _print_report(report: InvariantReport, fmt: str) -> int:
-    if fmt == "json":
-        print(json.dumps(report.to_json_obj()))
-    elif fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(["name", "expected", "actual", "pass"])
-        for c in report.checks:
-            writer.writerow([c["name"], c["expected"], c["actual"], c["pass"]])
-    else:
-        print(f"spec: {report.degree_spec}")
-        print(f"genus: {report.genus}")
-        print(f"G: {report.G}")
-        print(f"delta: {'-' if report.delta is None else report.delta}")
-        for c in report.checks:
-            verdict = "pass" if c["pass"] else "FAIL"
-            print(
-                f"check {c['name']}: {verdict} "
-                f"(expected={c['expected']} actual={c['actual']})"
-            )
+    delta = "-" if report.delta is None else report.delta
+    table = [f"spec: {report.degree_spec}", f"genus: {report.genus}", f"G: {report.G}",
+             f"delta: {delta}"]
+    table += [f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'} "
+              f"(expected={c['expected']} actual={c['actual']})" for c in report.checks]
+    keys = ["name", "expected", "actual", "pass"]
+    rows = [keys] + [[c[k] for k in keys] for c in report.checks]
+    _emit(fmt, table, report.to_json_obj(), rows)
     return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED
 
 
@@ -175,7 +178,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         _require_primitive(deg)
     spec = canonical_spec(deg)
 
-    path = cache_path()
+    path = Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE))
     entries = load_cache(path)
     # an entry from --engine both was computed by both engines, which agreed
     cached = entries.get((spec, args.genus, args.engine)) or entries.get(
@@ -216,47 +219,26 @@ def cmd_count(args: argparse.Namespace) -> int:
     eval_1 = G.evaluate(1)
     eval_m1 = G.evaluate(-1) if G.has_integer_powers() else None
 
-    if args.format == "json":
-        obj: dict = {
-            "spec": spec,
-            "genus": args.genus,
-            "engine": args.engine,
-            "polynomial": str(G),
-            "poly": G.to_json_obj(),
-            "delta": str(delta),
-            "eval_at_1": eval_1,
-            "eval_at_minus_1": eval_m1,
-        }
-        if agreement is not None:
-            obj["agreement"] = agreement
-        print(json.dumps(obj))
-    elif args.format == "csv":
-        writer = _csv_writer()
-        writer.writerow(
-            ["spec", "genus", "engine", "polynomial", "delta", "eval_at_1", "eval_at_minus_1"]
-        )
-        writer.writerow(
-            [
-                spec,
-                args.genus,
-                args.engine,
-                str(G),
-                delta,
-                eval_1,
-                "" if eval_m1 is None else eval_m1,
-            ]
-        )
-    else:
-        print(f"spec: {spec}")
-        print(f"genus: {args.genus}")
-        print(f"engine: {args.engine}")
-        print(f"G: {G}")
-        print(f"delta: {delta}")
-        print(f"eval(1): {eval_1}")
-        if eval_m1 is not None:
-            print(f"eval(-1): {eval_m1}")
-        if agreement is not None:
-            print(f"agreement: {'ok' if agreement else 'MISMATCH'}")
+    record: dict = {
+        "spec": spec,
+        "genus": args.genus,
+        "engine": args.engine,
+        "polynomial": str(G),
+        "poly": G.to_json_obj(),
+        "delta": str(delta),
+        "eval_at_1": eval_1,
+        "eval_at_minus_1": eval_m1,
+    }
+    table = [f"spec: {spec}", f"genus: {args.genus}", f"engine: {args.engine}", f"G: {G}",
+             f"delta: {delta}", f"eval(1): {eval_1}"]
+    if eval_m1 is not None:
+        table.append(f"eval(-1): {eval_m1}")
+    if agreement is not None:
+        record["agreement"] = agreement
+        table.append(f"agreement: {'ok' if agreement else 'MISMATCH'}")
+    # csv writes None (no eval(-1)) as an empty field
+    keys = ["spec", "genus", "engine", "polynomial", "delta", "eval_at_1", "eval_at_minus_1"]
+    _emit(args.format, table, record, [keys, [record[k] for k in keys]])
 
     if agreement is False or verify_failed:
         return EXIT_CHECK_FAILED
@@ -269,22 +251,14 @@ def cmd_curve(args: argparse.Namespace) -> int:
     stats = curve_multiplicities(curve)
     checks = property_report(curve)
     stats_obj = stats.to_json_obj()
-
-    if args.format == "json":
-        obj = {"stats": stats_obj, "checks": [c.to_json_obj() for c in checks]}
-        print(json.dumps(obj))
-    elif args.format == "csv":
-        writer = _csv_writer()
-        keys = ["mu_C", "mu_R", "G", "alpha", "genus", "degree"]
-        writer.writerow(keys)
-        writer.writerow([stats_obj[k] for k in keys])
-    else:
-        for k in ("mu_C", "mu_R", "G", "alpha", "genus", "degree"):
-            print(f"{k}: {stats_obj[k]}")
-        for c in checks:
-            verdict = ("pass" if c.passed else "FAIL") if c.applicable else "n/a"
-            suffix = f" ({c.detail})" if c.detail else ""
-            print(f"check {c.name}: {verdict}{suffix}")
+    keys = ["mu_C", "mu_R", "G", "alpha", "genus", "degree"]
+    table = [f"{k}: {stats_obj[k]}" for k in keys]
+    for c in checks:
+        verdict = ("pass" if c.passed else "FAIL") if c.applicable else "n/a"
+        suffix = f" ({c.detail})" if c.detail else ""
+        table.append(f"check {c.name}: {verdict}{suffix}")
+    json_obj = {"stats": stats_obj, "checks": [c.to_json_obj() for c in checks]}
+    _emit(args.format, table, json_obj, [keys, [stats_obj[k] for k in keys]])
 
     failed = any(c.applicable and not c.passed for c in checks)
     return EXIT_CHECK_FAILED if failed else EXIT_OK
@@ -302,15 +276,15 @@ def cmd_diagrams(args: argparse.Namespace) -> int:
 
 def cmd_paths(args: argparse.Namespace) -> int:
     deg = _degree(args)
-    _require_primitive(deg)  # enumerate_paths takes the polygon, not the degree
+    _require_primitive(deg)  # the engine takes the polygon, not the degree
     lam = LambdaOrder.parse(args.lam)
-    poly = dual_polygon(deg)
-    engine = get_engine(poly, lam)
-    for path in enumerate_paths(poly, args.genus, lam):
+    engine = get_engine(dual_polygon(deg), lam)
+    for ids in engine.path_id_tuples(args.genus, engine.kappa):
+        ids = bytes(ids)
         obj = {
-            "points": [list(pt) for pt in path.points],
-            "mu_plus": str(engine.mu(path, PLUS)),
-            "mu_minus": str(engine.mu(path, MINUS)),
+            "points": [list(engine.points[i]) for i in ids],
+            "mu_plus": str(RefinedPoly.from_half_units(engine.mu_ids(ids, PLUS))),
+            "mu_minus": str(RefinedPoly.from_half_units(engine.mu_ids(ids, MINUS))),
         }
         print(json.dumps(obj))
     return EXIT_OK

@@ -65,12 +65,14 @@ two profiles are spliced, and a path's joint multiplicity
 b1 == g.  Each cut or reflect stacks its cell onto the child's links and
 renumbers the components from scratch.  No count calls the reference; it
 stays for the tests and for the traced loop of the benchmark, together with
-`path_id_tuples`, which walks every point subset and yields tuples.
+`path_id_tuples`, which walks every point subset and yields tuples (the
+`paths` subcommand lists them, with `mu_ids` of each side).
 
 Inside the engine a path is its id: the bytes of its lambda ranks, in
 order.  The arcs, the live levels and every child the recursion builds are
-ids, and only `mu` (from points) and `path_multiplicity` (from a tuple)
-convert.  Ranks and profile labels each fit a byte, so the engine keeps its
+ids; a tuple from `path_id_tuples` becomes one with `bytes`, and
+`path_multiplicity` converts its own argument.  `points[i]` is the lattice
+point of rank i.  Ranks and profile labels each fit a byte, so the engine keeps its
 cap of MAX_POINTS lattice points, checked from Pick's counts (interior plus
 boundary points) before any lattice point is listed.
 
@@ -163,11 +165,6 @@ def all_orders() -> list[LambdaOrder]:
         for ps in (1, -1)
         for ts in (1, -1)
     ]
-
-
-@dataclass(frozen=True)
-class LatticePath:
-    points: tuple[Vec, ...]
 
 
 # -- per-side connectivity profiles ------------------------------------------
@@ -348,10 +345,6 @@ class PathEngine:
                     result = _add(result, self.mu_ids(ids[:j] + bytes((rid,)) + ids[j + 1:], side))
         memo[ids] = result = result or _DEAD
         return result
-
-    def mu(self, path: LatticePath, side: str) -> RefinedPoly:
-        ids = bytes(self.id_of[pt] for pt in path.points)
-        return RefinedPoly.from_half_units(self.mu_ids(ids, side))
 
     # -- live paths, generated backwards from the arc ---------------------------
 
@@ -584,15 +577,6 @@ def get_engine(poly: LatticePolygon, lam: LambdaOrder) -> PathEngine:
 def _require_primitive(deg: BalancedDegree) -> None:
     if not deg.is_primitive():
         raise UnsupportedDegreeError("lattice-path engine requires primitive degree")
-
-
-def enumerate_paths(poly: LatticePolygon, g: int, lam: LambdaOrder = DEFAULT_ORDER) -> list[LatticePath]:
-    # every polygon's degree is primitive: its vectors are primitive side normals
-    engine = get_engine(poly, lam)
-    return [
-        LatticePath(tuple(engine.points[i] for i in ids))
-        for ids in engine.path_id_tuples(g, engine.kappa)
-    ]
 
 
 def compute_G_path(deg: BalancedDegree, g: int, lam: LambdaOrder = DEFAULT_ORDER) -> RefinedPoly:

@@ -24,11 +24,9 @@ from refinedcount.paths import (
     MINUS,
     PLUS,
     LambdaOrder,
-    LatticePath,
     PathEngine,
     all_orders,
     compute_G_path,
-    enumerate_paths,
     get_engine,
 )
 from oracles import WELSCHINGER, kontsevich, node_polynomial_1, node_polynomial_2
@@ -65,39 +63,42 @@ def test_lambda_key_orders_points():
         (1, 1), (0, 1), (1, 0), (0, 0)]
 
 
+def _mu(engine, ids, side):
+    """A path's classical side multiplicity, from the tuple path_id_tuples yields."""
+    return RefinedPoly.from_half_units(engine.mu_ids(bytes(ids), side))
+
+
 def test_unit_triangle_single_path():
-    paths = enumerate_paths(dual_polygon(p2_degree(1)), 0)
-    assert paths == [LatticePath(((0, 0), (0, 1), (1, 0)))]
     engine = get_engine(dual_polygon(p2_degree(1)), DEFAULT_ORDER)
-    assert engine.mu(paths[0], PLUS) == 1
-    assert engine.mu(paths[0], MINUS) == 1
-    ids = tuple(engine.id_of[pt] for pt in paths[0].points)
-    assert RefinedPoly.from_half_units(engine.path_multiplicity(ids, 0)) == 1
+    paths = list(engine.path_id_tuples(0, engine.kappa))
+    assert [[engine.points[i] for i in ids] for ids in paths] == [[(0, 0), (0, 1), (1, 0)]]
+    assert _mu(engine, paths[0], PLUS) == 1
+    assert _mu(engine, paths[0], MINUS) == 1
+    assert RefinedPoly.from_half_units(engine.path_multiplicity(paths[0], 0)) == 1
 
 
 def test_cubic_path_counts():
-    poly = dual_polygon(p2_degree(3))
-    rational = enumerate_paths(poly, 0)
+    engine = get_engine(dual_polygon(p2_degree(3)), DEFAULT_ORDER)
+    rational = list(engine.path_id_tuples(0, engine.kappa))
     assert len(rational) == 8
-    assert all(len(p.points) == 9 for p in rational)
-    elliptic = enumerate_paths(poly, 1)
+    assert all(len(ids) == 9 for ids in rational)
+    elliptic = list(engine.path_id_tuples(1, engine.kappa))
     assert len(elliptic) == 1
-    assert len(elliptic[0].points) == 10
+    assert len(elliptic[0]) == 10
     with pytest.raises(ValueError):
-        enumerate_paths(poly, 2)
+        list(engine.path_id_tuples(2, engine.kappa))
 
 
 def test_cubic_classical_side_multiplicities():
-    poly = dual_polygon(p2_degree(3))
-    engine = get_engine(poly, DEFAULT_ORDER)
+    engine = get_engine(dual_polygon(p2_degree(3)), DEFAULT_ORDER)
     total = 0
-    for path in enumerate_paths(poly, 0):
-        total += engine.mu(path, PLUS).evaluate(1) * engine.mu(path, MINUS).evaluate(1)
+    for ids in engine.path_id_tuples(0, engine.kappa):
+        total += _mu(engine, ids, PLUS).evaluate(1) * _mu(engine, ids, MINUS).evaluate(1)
     assert total == 12
 
-    (elliptic,) = enumerate_paths(poly, 1)
-    assert engine.mu(elliptic, PLUS) == 1
-    assert engine.mu(elliptic, MINUS) == 1
+    (elliptic,) = engine.path_id_tuples(1, engine.kappa)
+    assert _mu(engine, elliptic, PLUS) == 1
+    assert _mu(engine, elliptic, MINUS) == 1
     # a path off the selective side's live level weighs nothing
     assert engine.path_multiplicity((0, 9), 0) == {}
 
