@@ -25,7 +25,11 @@ One depth-first loop over the floors, bottom to top, generates the floor
 graphs.  At each floor it ends some of the elevators crossing the gap
 below and starts new ones, and it drops a branch as soon as the floors so
 far need more infinite ends than the degree has, more elevators than the
-genus allows, or leave a connected piece with no elevator going up.
+genus allows, or leave a connected piece with no elevator going up.  The
+genus prune drops it too once more elevators are left than the floors above
+can start: each elevator floor u starts crosses the gap above u, whose
+weight is at most d - u * s (the ends below floors 1..u, less what they
+absorb), so floors v+1..n-1 start at most the sum of those caps.
 
 A *marking* is a word in the floors and elevators of D that lists the
 floors bottom to top, each finite elevator (lower, upper, w) between its
@@ -45,9 +49,34 @@ elevators and by infinite_up(v)! for each floor gives nu(D).  The downward
 ends were slotted as identical letters, so they need no division.
 
 The refined multiplicity of a diagram is mult(D) = prod [w]^2 over its
-finite elevator weights, and G(g, deg) = sum nu(D) * mult(D).  Since mult(D)
-depends only on the multiset of weights, `compute_G_floor` sums nu(D) per
-multiset and forms each product once.
+finite elevator weights, and G(g, deg) = sum nu(D) * mult(D).
+
+`compute_G_floor` evaluates that sum in one sweep up the floors, writing
+the markings of every diagram at once; it builds no diagram.  Its letters
+are identical within a *class*, the elevators of one weight started by one
+floor, and within an *up group*, the upward ends of one floor, so nothing
+is divided out:
+
+- between two floors any unwritten letters may be written, one at a time,
+  which counts each segment as a multinomial over the classes and groups;
+- at floor v, k elevators of a class with m crossing and r unwritten end
+  on k of its m - r written letters, in C(m - r, k) ways, so a letter's
+  upper floor is named only when it is used;
+- floor v slots its downward ends among the l letters already written, in
+  C(l + down, down) ways as above, starts new classes, multiplying in
+  [w]^2 per elevator, and opens an up group of down + excess upward ends,
+  due at the virtual floor n + 1.  P1xP1 chooses down(v) >= max(0,
+  -excess), the top floor taking every end left; P2 has down(v) = -excess.
+
+A *gap state* keeps only what the rest of the sweep can see: each crossing
+class as (weight, m, r), grouped by the connected component of the floors
+below but not by its lower floor; the unwritten counts of the up groups,
+without their sizes and without the groups fully written; the ends used
+below and above, and the elevators left, which fix l.  States with equal
+keys add their half-unit dicts.  Each dict sums, over the partial diagrams
+and words reaching the state, the word count times prod [w]^2 of the
+elevators started so far.  The sweep cuts states by the same rules as the
+floor graphs: end budgets, components, and the genus prune.
 """
 
 from __future__ import annotations
@@ -107,10 +136,11 @@ def classify_family(deg: BalancedDegree) -> Optional[tuple]:
     return None
 
 
-def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
-    """All floor diagrams for the degree and genus, lexicographically ordered.
+def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[str, int, int, int, int]:
+    """(family name, floors, ends below, ends above, divergence s) of the degree.
 
-    Empty above genus_max; raises ValueError for a negative genus.
+    Raises UnsupportedDegreeError outside the two families and ValueError
+    for a negative genus.
     """
     family = classify_family(deg)
     if family is None:
@@ -121,13 +151,34 @@ def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
         raise ValueError(f"no floor diagrams: genus {g} is negative")
     counts = Counter(deg.vectors)
     n_floors, d, up_ends = counts[(-1, 0)], counts[(0, -1)], counts[(0, 1)]
-    sink = (d - up_ends) // n_floors  # exact for both families
+    return family[0], n_floors, d, up_ends, (d - up_ends) // n_floors  # s is exact
+
+
+def _room(n: int, d: int, sink: int) -> list[int]:
+    """room[v]: how many elevators floors v+1..n-1 can still start.
+
+    Every elevator floor u starts crosses the gap above u, whose weight is at
+    most d - u * sink (the ends below floors 1..u, less the divergence they
+    absorb): d - u for P2, d for P1xP1.  Floor n starts none.
+    """
+    room = [0] * (n + 1)
+    for u in range(n - 1, 0, -1):
+        room[u - 1] = room[u] + d - u * sink
+    return room
+
+
+def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
+    """All floor diagrams for the degree and genus, lexicographically ordered.
+
+    Empty above genus_max; raises ValueError for a negative genus.
+    """
+    family, n_floors, d, up_ends, sink = _floor_parameters(deg, g)
     out: list[FloorDiagram] = []
     for elevators, excess in _floor_graphs(n_floors, g + n_floors - 1, d, sink, up_ends):
         for down in _down_choices(d, excess):
             assert sum(down) == d
             out.append(FloorDiagram(
-                family=family[0],
+                family=family,
                 n_floors=n_floors,
                 elevators=elevators,
                 infinite_down=down,
@@ -147,10 +198,12 @@ def _floor_graphs(
     out(v) - sink, so floor v needs max(0, -excess) infinite ends below it
     and max(0, excess) above.  A branch dies as soon as the ends needed so
     far exceed d below or `up_ends` above (this bounds the weight crossing
-    each gap: d - t under floor t+1 for P2, d for P1xP1), or a connected
-    component of the floors placed so far has no elevator left to leave by.
+    each gap: d - t under floor t+1 for P2, d for P1xP1), a connected
+    component of the floors placed so far has no elevator left to leave by,
+    or more elevators are left than the floors above have room for.
     """
     found: list = []
+    room = _room(n, d, sink)
 
     def grow(v, crossing, comp, done, excess, left):
         # yields the states of floor v + 1.  crossing: (lower, weight) of
@@ -172,7 +225,7 @@ def _floor_graphs(
             most = d - downs + arriving - sink  # largest out(v) with ends below <= d
             for started in _weight_tuples(most, left if v < n else 0, most):
                 e = arriving - sum(started) - sink
-                if e > up_ends - ups:
+                if e > up_ends - ups or left - len(started) > room[v]:
                     continue
                 if v == n:
                     if left == 0 and len(set(comp_v)) == 1:
@@ -298,11 +351,105 @@ def refined_multiplicity(D: FloorDiagram) -> RefinedPoly:
 
 
 def compute_G_floor(deg: BalancedDegree, g: int) -> RefinedPoly:
-    """Sum of nu(D) * mult(D) over all floor diagrams, one product per weight multiset."""
-    nu: Counter[tuple[int, ...]] = Counter()
-    for D in enumerate_diagrams(deg, g):
-        nu[tuple(sorted(w for _, _, w in D.elevators))] += markings_count(D)
-    total: dict[int, int] = {}
-    for weights, count in nu.items():
-        _accumulate(total, _weights_multiplicity(weights), _ONE, count)
-    return RefinedPoly.from_half_units(total)
+    """Sum of nu(D) * mult(D) over all floor diagrams, in one sweep up the floors.
+
+    The gap states of the module docstring: `states` maps each key
+    (components, up groups, ends used below, ends used above, elevators
+    left) to its half-unit dict.  No diagram is built.
+    """
+    _, n, d, up_ends, sink = _floor_parameters(deg, g)
+    n_elevators = g + n - 1
+    room = _room(n, d, sink)
+    starts: dict[tuple[int, ...], tuple[list, dict[int, int]]] = {}
+    states = {((), (), 0, 0, n_elevators): _ONE}
+    for v in range(1, n + 1):
+        nxt: dict[tuple, dict[int, int]] = {}
+        for (comps, ups, downs, used_up, left), val in _write_letters(states).items():
+            classes = [(i, c) for i, comp in enumerate(comps) for c in comp]
+            unwritten = sum(r for _, (_, _, r) in classes)
+            if v == n and unwritten:
+                continue  # every elevator ends at floor n, so all are written
+            # l: the floors, downward ends, elevators and upward ends written
+            placed = v - 1 + downs + n_elevators - left - unwritten + used_up - sum(ups)
+            choices = [range(m - r + 1) if v < n else (m,) for _, (_, m, r) in classes]
+            for ks in product(*choices):
+                # end k of the m - r written letters of each class at floor v
+                ways, arriving, merged = 1, 0, set()
+                for (i, (w, m, r)), k in zip(classes, ks):
+                    if k:
+                        ways *= comb(m - r, k)
+                        arriving += k * w
+                        merged.add(i)
+                kept = [comp for i, comp in enumerate(comps) if i not in merged]
+                joined = [(w, m - k, r) for (i, (w, m, r)), k in zip(classes, ks)
+                          if i in merged and m > k]
+                most = d - downs + arriving - sink  # largest out(v) with ends below <= d
+                for started in _weight_tuples(most, left if v < n else 0, most):
+                    remaining = left - len(started)
+                    if remaining > room[v]:
+                        continue
+                    if started not in starts:
+                        starts[started] = ([(w, k, k) for w, k in Counter(started).items()],
+                                           _weights_multiplicity(started))
+                    new_classes, mult = starts[started]
+                    comp_v = joined + new_classes
+                    if v < n and not comp_v:
+                        continue  # floor v's component has no elevator going up
+                    # floor n ends every elevator, which leaves no component
+                    key_comps = tuple(sorted(kept + [tuple(sorted(comp_v))])) if v < n else ()
+                    e = arriving - sum(started) - sink
+                    # floor v takes `down` ends below and down + e above; the
+                    # top floor takes every end still unused
+                    low = max(0, -e, d - downs if v == n else 0)
+                    high = min(d - downs, up_ends - used_up - e)
+                    for down in range(low, high + 1):
+                        up = down + e
+                        key = (key_comps, tuple(sorted(ups + (up,))) if up else ups,
+                               downs + down, used_up + up, remaining)
+                        target = nxt.get(key)
+                        if target is None:
+                            target = nxt[key] = {}
+                        _accumulate(target, val, mult, ways * comb(placed + down, down))
+        states = nxt
+    # the upward ends are due at a virtual floor n + 1: write them all
+    done = _write_letters(states).get(((), (), d, up_ends, 0), {})
+    return RefinedPoly.from_half_units(done)
+
+
+def _write_letters(states: dict[tuple, dict[int, int]]) -> dict[tuple, dict[int, int]]:
+    """Every state reached from `states` by writing unwritten letters.
+
+    A state's level is its number of unwritten letters.  The letters of a
+    class or an up group are identical, so writing one is one step of
+    weight 1, down one level; walking the levels top down adds each state's
+    value into the states it reaches.  Returns fresh dicts: the values in
+    `states` are copied, never added into.
+    """
+    levels: dict[int, dict[tuple, dict[int, int]]] = {}
+    for key, val in states.items():
+        comps, ups = key[0], key[1]
+        level = sum(r for comp in comps for _, _, r in comp) + sum(ups)
+        levels.setdefault(level, {})[key] = dict(val)
+    out: dict[tuple, dict[int, int]] = {}
+    for level in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(level - 1, {})
+        for key, val in levels.get(level, {}).items():
+            out[key] = val
+            comps, ups, tail = key[0], key[1], key[2:]
+            reached = []
+            for i, comp in enumerate(comps):
+                others = comps[:i] + comps[i + 1:]
+                for j, (w, m, r) in enumerate(comp):
+                    if r:
+                        comp_w = tuple(sorted(comp[:j] + comp[j + 1:] + ((w, m, r - 1),)))
+                        reached.append((tuple(sorted(others + (comp_w,))), ups))
+            for j, x in enumerate(ups):
+                fewer = ups[:j] + ups[j + 1:] + ((x - 1,) if x > 1 else ())
+                reached.append((comps, tuple(sorted(fewer))))
+            for head in reached:
+                target = below.get(head + tail)
+                if target is None:
+                    target = below[head + tail] = {}
+                _accumulate(target, val, _ONE, 1)
+    out.update(levels.get(0, {}))
+    return out

@@ -3,8 +3,10 @@
 Everything here trades speed for obviousness: explicit enumeration of
 permutations, lattice scans over bounding boxes, and exhaustive cyclic-order
 search.  The production code must agree with these on small inputs.  The
-plane curve numbers (Kontsevich's N_d, Welschinger's W_d) come from outside
-tropical geometry and use nothing from either engine.
+plane curve numbers (Kontsevich's N_d, Welschinger's W_d, Getzler's elliptic
+counts) come from outside tropical geometry and use nothing from either
+engine.  `floor_sum_over_diagrams` is the floor engine's former count, one
+markings count per listed diagram, kept as the reference for its sweep.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from collections import Counter
 from functools import cmp_to_key, lru_cache
 from math import comb, factorial, gcd
 
-from refinedcount.floors import FloorDiagram
+from refinedcount.floors import FloorDiagram, enumerate_diagrams, markings_count
+from refinedcount.laurent import RefinedPoly, quantum_integer
 
 Vec = tuple[int, int]
 
@@ -24,7 +27,12 @@ Vec = tuple[int, int]
 # Welschinger invariants W_d of the real plane: rational degree-d curves through
 # 3d - 1 real points, counted with signs (Itenberg-Kharlamov-Shustin; Mikhalkin,
 # JAMS 2005).  W_d is G(0, P2(d)) at y = -1.
-WELSCHINGER = (1, 1, 8, 240, 18264, 2845440)  # d = 1..6
+WELSCHINGER = (1, 1, 8, 240, 18264, 2845440, 792731520)  # d = 1..7
+
+# Getzler's counts of plane elliptic curves of degree d through 3d points
+# ("Intersection theory on M_{1,4} and elliptic Gromov-Witten invariants",
+# JAMS 1997).  They are G(1, P2(d)) at y = 1.
+GETZLER = (0, 0, 1, 225, 87192, 57435240, 60478511040)  # d = 1..7
 
 
 @lru_cache(maxsize=None)
@@ -205,6 +213,26 @@ def floor_diagrams_brute(deg, g: int) -> list[tuple]:
         if len(reached) == n:
             found.extend((elevators, down, up) for down, up in choices)
     return sorted(found)
+
+
+def floor_sum_over_diagrams(deg, g: int) -> RefinedPoly:
+    """G(g, deg) as the sum of nu(D) * prod [w]^2 over the listed diagrams.
+
+    Every diagram is built by `enumerate_diagrams` and its markings are
+    counted one diagram at a time by `markings_count`; mult(D) depends only
+    on the multiset of weights, so nu(D) is summed per multiset and each
+    product is formed once.
+    """
+    nu: Counter[tuple[int, ...]] = Counter()
+    for D in enumerate_diagrams(deg, g):
+        nu[tuple(sorted(w for _, _, w in D.elevators))] += markings_count(D)
+    total = RefinedPoly.zero()
+    for weights, count in sorted(nu.items()):
+        mult = RefinedPoly.one()
+        for w in weights:
+            mult = mult * quantum_integer(w) ** 2
+        total = total + mult * count
+    return total
 
 
 def poset_size(D: FloorDiagram) -> int:

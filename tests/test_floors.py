@@ -11,6 +11,7 @@ from refinedcount.floors import (
     FloorDiagram,
     UnsupportedDegreeError,
     _down_choices,
+    _room,
     classify_family,
     compute_G_floor,
     enumerate_diagrams,
@@ -24,10 +25,12 @@ from refinedcount.geometry import (
     p2_degree,
     parse_degree,
 )
-from refinedcount.laurent import RefinedPoly, quantum_integer
+from refinedcount.laurent import _ONE, RefinedPoly, quantum_integer
 from oracles import (
+    GETZLER,
     WELSCHINGER,
     floor_diagrams_brute,
+    floor_sum_over_diagrams,
     kontsevich,
     markings_count_brute,
     markings_count_downset,
@@ -178,9 +181,45 @@ def test_evaluations():
 
 
 def test_rational_counts_match_kontsevich_and_welschinger():
-    for d in range(1, 7):
+    for d in range(1, 8):
         G = compute_G_floor(p2_degree(d), 0)
         assert (G.evaluate(1), G.evaluate(-1)) == (kontsevich(d), WELSCHINGER[d - 1])
+    assert (kontsevich(7), WELSCHINGER[6]) == (14616808192, 792731520)
+
+
+def test_elliptic_counts_match_getzler():
+    for d in range(1, 8):
+        assert compute_G_floor(p2_degree(d), 1).evaluate(1) == GETZLER[d - 1]
+    assert GETZLER[6] == 60478511040
+
+
+def test_sweep_matches_the_sum_over_diagrams():
+    # every genus of the two families' small degrees and of the long strips
+    # of height or width 2, against one markings count per listed diagram
+    shapes = {(d, r) for d in range(1, 5) for r in range(1, 5)}
+    shapes |= {s for r in range(1, 9) for s in ((2, r), (r, 2))}
+    degrees = [p2_degree(d) for d in range(1, 7)] + [p1xp1_degree(*s) for s in sorted(shapes)]
+    checked = 0
+    for deg in degrees:
+        for g in range(genus_max(deg) + 1):
+            assert compute_G_floor(deg, g) == floor_sum_over_diagrams(deg, g), (deg, g)
+            checked += 1
+    assert checked == 130
+    assert _ONE == {0: 1}  # the sweep adds only into dicts it made
+
+
+def test_genus_prune_room():
+    # P2(7): floor u starts at most 7 - u elevators, floor 7 none
+    assert _room(7, 7, 1) == [21, 15, 10, 6, 3, 1, 0, 0]
+    assert _room(3, 2, 0) == [4, 2, 0, 0]
+    assert _room(1, 5, 0) == [0, 0]
+    # the top genus of P2(d) fills every gap to its cap: one diagram
+    for d in (6, 7):
+        deg = p2_degree(d)
+        assert genus_max(deg) + d - 1 == _room(d, d, 1)[0]
+        (D,) = enumerate_diagrams(deg, genus_max(deg))
+        assert markings_count(D) == 1
+        assert compute_G_floor(deg, genus_max(deg)) == RefinedPoly.one()
 
 
 def test_degenerate_and_top_genus():
