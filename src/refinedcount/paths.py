@@ -17,6 +17,21 @@ the polygon.  A completed deformation tiles the region between the path and
 the arc; the classical side multiplicity mu is the weight sum over completed
 deformations, and it bottoms out at 1 when the path already equals the arc.
 
+mu factors over the path's points on the arc.  Such a point is never a
+poking corner: it is the polygon's extreme point, towards its side, on its
+level line of lambda, and the segment joining its path neighbours (one
+before it in lambda, one after) crosses that line inside the polygon, so
+the corner bulges towards the arc, never away from it.  A cut or reflect
+moves only its own corner point, so the arc points of a path stay put
+through every deformation and split it into pieces from one arc point to
+the next that deform apart from each other.  The first poking corner lies
+in the first piece that still has one, so the recursion completes the
+pieces one after another, and mu is the product of the pieces' mu (a
+piece left with no poking corner short of its stretch of arc is dead, and
+so is the path).  A two-point piece weighs 1 if its ends are neighbours on the arc and is dead
+otherwise; a longer piece resolves its first poking corner, and the
+children it leaves are factored again.
+
 A pair of completed deformations, one per side, tiles the whole polygon and
 is dual to a tropical curve through the kappa+g-1 points on the path edges,
 possibly reducible: triangles become trivalent vertices, shared cell edges
@@ -76,15 +91,17 @@ point of rank i.  Ranks and profile labels each fit a byte, so the engine keeps 
 cap of MAX_POINTS lattice points, checked from Pick's counts (interior plus
 boundary points) before any lattice point is listed.
 
-Recursion states repeat heavily across paths and genera, so each
-(polygon, lambda) pair owns one long-lived engine (`get_engine`), and the
-engine owns all of its state: the memo tables of the classical recursion
-and of the side profiles (one dict per side, keyed by path id; every dead
-entry is the one shared empty dict `_DEAD`), the live levels of each side,
-the balanced sub-degrees of its degree (enumerated once), the exponential
-formula's memo, and G of each genus already counted, so a repeat count
-only reads it back.  `get_engine`'s `lru_cache` of engines is the only
-module-level cache.  The engine and its tables are single-threaded.
+Recursion states repeat heavily across paths and genera, so each (polygon,
+lambda) pair owns one long-lived engine (`get_engine`), and the engine owns
+all of its state: the memo tables of the classical recursion (one dict per
+side, keyed by arc-to-arc piece of three points or more; no whole path is
+stored) and of the reference's side profiles (one dict per side, keyed by
+path id), the live levels of each side, the balanced sub-degrees of its
+degree (enumerated once), the exponential formula's memo, and G of each
+genus already counted, so a repeat count only reads it back.  Every dead
+entry is the one shared empty dict `_DEAD`, and no memo value is ever
+mutated.  `get_engine`'s `lru_cache` of engines is the only module-level
+cache.  The engine and its tables are single-threaded.
 """
 
 from __future__ import annotations
@@ -108,7 +125,7 @@ from .geometry import (
     primitive,
     vsub,
 )
-from .laurent import _ONE, RefinedPoly, _accumulate, _add, _mul_quantum
+from .laurent import _ONE, RefinedPoly, _accumulate, _add, _mul, _mul_quantum
 
 PLUS = "plus"
 MINUS = "minus"
@@ -289,13 +306,17 @@ class PathEngine:
         assert all(cross(chord, vsub(r, p)) >= 0 for r in plus)
         self._arcs = {PLUS: bytes(sorted(self.id_of[r] for r in plus)),
                       MINUS: bytes(sorted(self.id_of[r] for r in minus))}
+        # per side, a translate table that marks the arc's ranks with 1, and
+        # each arc point's successor along the arc
+        self._on_arc = {side: bytes(r in arc for r in range(256)) for side, arc in self._arcs.items()}
+        self._arc_next = {side: dict(zip(arc, arc[1:])) for side, arc in self._arcs.items()}
         plus_longer = len(self._arcs[PLUS]) >= len(self._arcs[MINUS])
         self._selective, self._other = (PLUS, MINUS) if plus_longer else (MINUS, PLUS)
         # live paths found backwards from each arc: one set per length, from
         # the arc's up, plus the parents already found one point longer
         self._levels: dict[str, list[set[bytes]]] = {PLUS: [], MINUS: []}
         self._seeds: dict[str, set[bytes]] = {PLUS: {self._arcs[PLUS]}, MINUS: {self._arcs[MINUS]}}
-        # one memo per side, keyed by path id
+        # one memo per side, keyed by arc-to-arc piece
         self._memo: dict[str, dict[bytes, dict[int, int]]] = {PLUS: {}, MINUS: {}}
         self._profiles: dict[str, dict[bytes, dict[Profile, dict[int, int]]]] = {PLUS: {}, MINUS: {}}
         # the degree as multiplicities over its distinct end vectors; a
@@ -326,24 +347,45 @@ class PathEngine:
         return None
 
     def mu_ids(self, ids: bytes, side: str) -> dict[int, int]:
-        """Classical side multiplicity: weight sum over completed deformations."""
+        """Classical side multiplicity: weight sum over completed deformations.
+
+        The product over the path's pieces between consecutive points on the
+        side's arc.  A two-point piece weighs 1 if its ends are neighbours on
+        the arc and is dead otherwise; a longer piece is looked up.
+        """
+        marks = ids.translate(self._on_arc[side])
+        following = self._arc_next[side]
         memo = self._memo[side]
-        found = memo.get(ids)
-        if found is not None:
-            return found
-        if ids == self._arcs[side]:
-            result: dict[int, int] = _ONE
-        else:
-            result = {}
-            corner = self._corner(ids, side == PLUS)
-            if corner is not None:
-                j, m, rid = corner
-                result = _mul_quantum(self.mu_ids(ids[:j] + ids[j + 1:], side), m)
-                if rid is not None:
-                    # lambda is linear, so the reflected point sorts strictly
-                    # between its neighbours: the new id needs no re-sort
-                    result = _add(result, self.mu_ids(ids[:j] + bytes((rid,)) + ids[j + 1:], side))
-        memo[ids] = result = result or _DEAD
+        result = _ONE
+        i = 0
+        while (j := marks.find(1, i + 1)) != -1:
+            if j == i + 1:
+                if following.get(ids[i]) != ids[j]:
+                    return _DEAD
+            else:
+                piece = ids[i:j + 1]
+                mu = memo.get(piece)
+                if mu is None:
+                    mu = self._piece(piece, side)
+                if not mu:
+                    return _DEAD
+                result = mu if result is _ONE else _mul(result, mu)
+            i = j
+        return result
+
+    def _piece(self, piece: bytes, side: str) -> dict[int, int]:
+        """mu of a piece with no inner point on the arc, by its first poking
+        corner; the children go back through mu_ids and are factored again."""
+        result: dict[int, int] = {}
+        corner = self._corner(piece, side == PLUS)
+        if corner is not None:
+            j, m, rid = corner
+            result = _mul_quantum(self.mu_ids(piece[:j] + piece[j + 1:], side), m)
+            if rid is not None:
+                # lambda is linear, so the reflected point sorts strictly
+                # between its neighbours: the new id needs no re-sort
+                result = _add(result, self.mu_ids(piece[:j] + bytes((rid,)) + piece[j + 1:], side))
+        self._memo[side][piece] = result = result or _DEAD
         return result
 
     # -- live paths, generated backwards from the arc ---------------------------

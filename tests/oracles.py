@@ -7,6 +7,8 @@ plane curve numbers (Kontsevich's N_d, Welschinger's W_d, Getzler's elliptic
 counts) come from outside tropical geometry and use nothing from either
 engine.  `floor_sum_over_diagrams` is the floor engine's former count, one
 markings count per listed diagram, kept as the reference for its sweep.
+`mu_whole_path` is the path engine's former side recursion, memoized by
+whole path, kept as the reference for its product over arc-to-arc pieces.
 """
 
 from __future__ import annotations
@@ -233,6 +235,51 @@ def floor_sum_over_diagrams(deg, g: int) -> RefinedPoly:
             mult = mult * quantum_integer(w) ** 2
         total = total + mult * count
     return total
+
+
+def mu_whole_path(poly, lam, plus: bool):
+    """The classical side multiplicity mu(ids) of one side, unfactored.
+
+    Returns a function of a path (lambda ranks, in order) that resolves the
+    path's first corner poking away from the side's arc, by a cut ([m]_y, m
+    the doubled triangle area) plus a reflect when the reflected point is a
+    lattice point, down to the arc itself (1); a path with no poking corner
+    that is not the arc is dead (0).  The arc is every boundary lattice point
+    on the side's half of the chord from the lambda-least to the
+    lambda-greatest point, read off the vertices alone.  When that chord is
+    an edge, the edge is the arc of the side the polygon does not reach.
+    """
+    points = sorted(poly.lattice_points(), key=lam.key)
+    rank = {pt: i for i, pt in enumerate(points)}
+    sign = 1 if plus else -1
+    (px, py), (qx, qy) = ends = points[0], points[-1]
+
+    def height(x, y):
+        return sign * ((qx - px) * (y - py) - (qy - py) * (x - px))
+
+    def on_boundary(x, y):
+        return any((bx - ax) * (y - ay) == (by - ay) * (x - ax) for (ax, ay), (bx, by) in poly.edges())
+
+    flat = all(height(*pt) <= 0 for pt in points)
+    arc = tuple(i for i, pt in enumerate(points) if on_boundary(*pt)
+                and (height(*pt) > 0 or height(*pt) == 0 and (flat or pt in ends)))
+
+    @lru_cache(maxsize=None)
+    def mu(ids: tuple[int, ...]) -> RefinedPoly:
+        if ids == arc:
+            return RefinedPoly.one()
+        for j in range(1, len(ids) - 1):
+            (ax, ay), (bx, by), (cx, cy) = (points[i] for i in ids[j - 1:j + 2])
+            turn = sign * ((bx - ax) * (cy - by) - (by - ay) * (cx - bx))
+            if turn > 0:
+                total = mu(ids[:j] + ids[j + 1:]) * quantum_integer(turn)
+                reflected = rank.get((ax + cx - bx, ay + cy - by))
+                if reflected is not None:
+                    total = total + mu(ids[:j] + (reflected,) + ids[j + 1:])
+                return total
+        return RefinedPoly.zero()
+
+    return lambda ids: mu(tuple(ids))
 
 
 def poset_size(D: FloorDiagram) -> int:

@@ -29,7 +29,7 @@ from refinedcount.paths import (
     compute_G_path,
     get_engine,
 )
-from oracles import WELSCHINGER, kontsevich, node_polynomial_1, node_polynomial_2
+from oracles import WELSCHINGER, kontsevich, mu_whole_path, node_polynomial_1, node_polynomial_2
 
 
 def test_lambda_orders():
@@ -191,23 +191,48 @@ def test_path_memos_are_compact():
             for memo in table.values():
                 assert all(type(ids) is bytes for ids in memo)
                 assert all(value is paths._DEAD for value in memo.values() if not value)
+        # a mu key is an arc-to-arc piece: it starts and ends on its side's
+        # arc, and no inner rank lies on it
+        for side, memo in engine._memo.items():
+            arc = set(engine._arcs[side])
+            for piece in memo:
+                assert len(piece) > 2 and piece[0] in arc and piece[-1] in arc
+                assert not arc.intersection(piece[1:-1])
         # (entries, empty entries) of each side's mu memo
         return {side: (len(memo), sum(not mu for mu in memo.values()))
                 for side, memo in engine._memo.items()}
 
-    # every state the recursion visits is one entry, so these counts pin the recursion
+    # every piece the recursion visits is one entry, so these counts pin the recursion
     engine = PathEngine(dual_polygon(p2_degree(5)), LambdaOrder.parse("lex:+x,+y"))
     engine.count(0)
     engine.count(1)
-    assert entries(engine) == {MINUS: (13270, 4806), PLUS: (5798, 2204)}
+    assert entries(engine) == {MINUS: (2095, 755), PLUS: (991, 289)}
     engine = PathEngine(dual_polygon(p2_degree(4)), DEFAULT_ORDER)
     for g in range(genus_max(p2_degree(4)) + 1):
         engine.count(g)
         for ids in engine.path_id_tuples(g, engine.kappa):
             engine.path_multiplicity(ids, g)  # fills the profile memos too
     assert any(engine._profiles.values())
-    assert entries(engine) == {MINUS: (436, 119), PLUS: (223, 65)}
+    assert entries(engine) == {MINUS: (138, 48), PLUS: (75, 19)}
     assert paths._DEAD == {}
+
+
+# the last four polygons are not h-transverse
+@pytest.mark.parametrize("spec", ["P2:d=1", "P2:d=2", "P2:d=3", "P2:d=4", "P1xP1:d=2,r=3",
+                                  "P1xP1:d=3,r=2", "P1xP1:d=3,r=3", "polygon:(0,0),(3,1),(1,3)",
+                                  "polygon:(0,0),(2,0),(3,1),(3,2),(1,3),(0,1)",
+                                  "polygon:(0,0),(3,1),(4,3),(1,2)", "polygon:(0,0),(4,1),(2,3)"])
+def test_factored_mu_equals_the_whole_path_recursion(spec):
+    deg = parse_degree(spec)
+    poly = dual_polygon(deg)
+    for lam in all_orders():
+        engine = PathEngine(poly, lam)
+        for side in (MINUS, PLUS):
+            reference = mu_whole_path(poly, lam, side == PLUS)
+            for g in range(genus_max(deg) + 1):
+                for ids in engine.path_id_tuples(g, deg.kappa):
+                    mu = engine.mu_ids(bytes(ids), side)
+                    assert RefinedPoly.from_half_units(mu) == reference(ids)
 
 
 def test_path_id_tuples_rejects_impossible_genus():
