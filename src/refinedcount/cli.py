@@ -18,7 +18,8 @@ the list first.  A corrupt cache line, or a cache that cannot be written,
 never fails a command: it is reported on stderr and the count is printed.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 unsupported
-combination (e.g. the floor engine on a degree outside its two families).
+combination (e.g. the floor engine on a degree outside its two families),
+141 the reader closed stdout early (128 + SIGPIPE).
 All output is deterministic: identical invocations give identical bytes.
 """
 
@@ -68,6 +69,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a filter that signal killed
 
 CACHE_ENV_VAR = "REFINED_COUNT_CACHE"
 DEFAULT_CACHE = ".gcache.jsonl"
@@ -323,7 +325,9 @@ def _add_common(sub: argparse.ArgumentParser, *, genus: bool = True, lam: bool =
             "--lambda",
             dest="lam",
             default=DEFAULT_ORDER.spec(),
-            help="point ordering, e.g. lex:+x,+y or lex:-y,+x",
+            help="point ordering, e.g. lex:+x,+y or lex:-y,+x; G does not depend on it, "
+                 "so count serves a cached G for every order (--verify-cache recomputes "
+                 "in this one)",
         )
     if fmt:
         sub.add_argument(
@@ -395,7 +399,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         # argparse has already printed its message; normalize the exit code
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head` does): send what is still
+        # buffered to the null device, so nothing is printed at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UnsupportedDegreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -21,15 +21,24 @@ and labels the diagrams.
 
 The genus is the cycle count of the floor graph: #elevators - #floors + 1.
 
-One depth-first loop over the floors, bottom to top, generates the floor
-graphs.  At each floor it ends some of the elevators crossing the gap
-below and starts new ones, and it drops a branch as soon as the floors so
-far need more infinite ends than the degree has, more elevators than the
-genus allows, or leave a connected piece with no elevator going up.  The
-genus prune drops it too once more elevators are left than the floors above
-can start: each elevator floor u starts crosses the gap above u, whose
-weight is at most d - u * s (the ends below floors 1..u, less what they
-absorb), so floors v+1..n-1 start at most the sum of those caps.
+`enumerate_diagrams` lists the diagrams with one depth-first loop over the
+floors, bottom to top.  At each floor it ends some of the elevators
+crossing the gap below, starts new ones and picks the floor's infinite
+ends, and it drops a branch once a connected piece of the floors so far has
+no elevator going up.  What a floor may start and how it may split its
+excess between ends below and above are the *per-floor rules*, and
+`_floor_choices` is their one home: the listing and the count below both
+call it.  Given the weight arriving at floor v, the ends used below and
+above and the elevators left, it yields each non-increasing tuple of
+weights v may start, with out(v) no more than the ends left below allow,
+together with the excess e and the range of ends below: floor v takes k
+ends below and k + e above, for every k that keeps both counts >= 0 and
+within the ends left, and the top floor takes every end below still
+unused.  The genus prune there drops a tuple once more elevators are left
+than the floors above can start: each elevator floor u starts crosses the
+gap above u, whose weight is at most d - u * s (the ends below floors
+1..u, less what they absorb), so floors v+1..n-1 start at most the sum of
+those caps.
 
 A *marking* is a word in the floors and elevators of D that lists the
 floors bottom to top, each finite elevator (lower, upper, w) between its
@@ -65,8 +74,8 @@ is divided out:
 - floor v slots its downward ends among the l letters already written, in
   C(l + down, down) ways as above, starts new classes, multiplying in
   [w]^2 per elevator, and opens an up group of down + excess upward ends,
-  due at the virtual floor n + 1.  P1xP1 chooses down(v) >= max(0,
-  -excess), the top floor taking every end left; P2 has down(v) = -excess.
+  due at the virtual floor n + 1.  The starts and the ends come from
+  `_floor_choices`; for P2 the range of ends below is the one count -excess.
 
 A *gap state* keeps only what the rest of the sweep can see: each crossing
 class as (weight, m, r), grouped by the connected component of the floors
@@ -76,14 +85,14 @@ below and above, and the elevators left, which fix l.  States with equal
 keys add their half-unit dicts.  Each dict sums, over the partial diagrams
 and words reaching the state, the word count times prod [w]^2 of the
 elevators started so far.  The sweep cuts states by the same rules as the
-floor graphs: end budgets, components, and the genus prune.
+listing: the per-floor rules, and a component with no elevator going up.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from math import comb, factorial
 from typing import Iterator, Optional
 
@@ -170,80 +179,76 @@ def _room(n: int, d: int, sink: int) -> list[int]:
 def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
     """All floor diagrams for the degree and genus, lexicographically ordered.
 
-    Empty above genus_max; raises ValueError for a negative genus.
+    Empty above genus_max; raises ValueError for a negative genus.  The
+    depth-first loop of the module docstring, with one suspended generator
+    per floor of the current branch.
     """
-    family, n_floors, d, up_ends, sink = _floor_parameters(deg, g)
-    out: list[FloorDiagram] = []
-    for elevators, excess in _floor_graphs(n_floors, g + n_floors - 1, d, sink, up_ends):
-        for down in _down_choices(d, excess):
-            assert sum(down) == d
-            out.append(FloorDiagram(
-                family=family,
-                n_floors=n_floors,
-                elevators=elevators,
-                infinite_down=down,
-                infinite_up=tuple(dn + e for dn, e in zip(down, excess)),
-            ))
-    out.sort(key=lambda D: (D.elevators, D.infinite_down, D.infinite_up))
-    return out
-
-
-def _floor_graphs(
-    n: int, n_elevators: int, d: int, sink: int, up_ends: int,
-) -> list[tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]]:
-    """Connected weighted floor graphs on floors 1..n, built from the bottom.
-
-    Returns (elevators, excess) pairs: the sorted (lower, upper, weight)
-    multiset with exactly `n_elevators` members, and excess[v-1] = in(v) -
-    out(v) - sink, so floor v needs max(0, -excess) infinite ends below it
-    and max(0, excess) above.  A branch dies as soon as the ends needed so
-    far exceed d below or `up_ends` above (this bounds the weight crossing
-    each gap: d - t under floor t+1 for P2, d for P1xP1), a connected
-    component of the floors placed so far has no elevator left to leave by,
-    or more elevators are left than the floors above have room for.
-    """
-    found: list = []
+    family, n, d, up_ends, sink = _floor_parameters(deg, g)
     room = _room(n, d, sink)
+    out: list[FloorDiagram] = []
 
-    def grow(v, crossing, comp, done, excess, left):
-        # yields the states of floor v + 1.  crossing: (lower, weight) of
-        # each elevator crossing the gap under floor v; comp[u-1]: the
-        # component label of floor u < v.  Equal elevators are ended by
+    def grow(v, crossing, comp, done, down, up, left):
+        # yields the states of floor v + 1, or lists the diagram once v > n:
+        # floor n ends every elevator and takes every end left, so a state
+        # past it is a connected diagram of the degree and genus.
+        # crossing: (lower, weight) of each elevator crossing the gap under
+        # floor v; comp[u-1]: the component label of floor u < v; down / up:
+        # the infinite ends of floors 1..v-1.  Equal elevators are ended by
         # count, so each multiset is built once.
-        downs = sum(max(0, -e) for e in excess)
-        ups = sum(max(0, e) for e in excess)
+        if v > n:
+            out.append(FloorDiagram(family, n, tuple(sorted(done)), down, up))
+            return
         classes = sorted(Counter(crossing).items())
         counts = [range(m + 1) if v < n else (m,) for _, m in classes]
         for ks in product(*counts):
             ended = [c for (c, _), k in zip(classes, ks) for _ in range(k)]
             passing = [c for (c, m), k in zip(classes, ks) for _ in range(m - k)]
-            arriving = sum(w for _, w in ended)
             merged = {comp[lo - 1] for lo, _ in ended} | {v}
             label = min(merged)
             comp_v = tuple(label if c in merged else c for c in comp) + (label,)
             done_v = done + [(lo, v, w) for lo, w in ended]
-            most = d - downs + arriving - sink  # largest out(v) with ends below <= d
-            for started in _weight_tuples(most, left if v < n else 0, most):
-                e = arriving - sum(started) - sink
-                if e > up_ends - ups or left - len(started) > room[v]:
-                    continue
-                if v == n:
-                    if left == 0 and len(set(comp_v)) == 1:
-                        found.append((tuple(sorted(done_v)), tuple(excess + [e])))
-                    continue
+            arriving = sum(w for _, w in ended)
+            for started, e, ends in _floor_choices(v, n, arriving, sum(down), sum(up), left,
+                                                   d, sink, up_ends, room):
                 nxt = passing + [(v, w) for w in started]
-                if set(comp_v) <= {comp_v[lo - 1] for lo, _ in nxt}:
-                    yield v + 1, nxt, comp_v, done_v, excess + [e], left - len(started)
+                # every component below floor v + 1 needs an elevator going up
+                if v < n and not set(comp_v) <= {comp_v[lo - 1] for lo, _ in nxt}:
+                    continue
+                for k in ends:
+                    yield (v + 1, nxt, comp_v, done_v, down + (k,), up + (k + e,),
+                           left - len(started))
 
-    # depth first, with one suspended generator per floor of the current branch
-    stack = [grow(1, [], (), [], [], n_elevators)]
+    stack = [grow(1, [], (), [], (), (), g + n - 1)]
     while stack:
         for state in stack[-1]:
             stack.append(grow(*state))
             break
         else:
             stack.pop()
-    return found
+    out.sort(key=lambda D: (D.elevators, D.infinite_down, D.infinite_up))
+    return out
+
+
+def _floor_choices(
+    v: int, n: int, arriving: int, downs: int, used_up: int, left: int,
+    d: int, sink: int, up_ends: int, room: list[int],
+) -> Iterator[tuple[tuple[int, ...], int, range]]:
+    """What floor v may do, given what the floors below it did.
+
+    Floor v has `arriving` weight ending on it, the floors below used
+    `downs` ends below and `used_up` above, and `left` elevators are still
+    to start.  Yields (started, e, ends): a non-increasing tuple of weights
+    floor v starts, its excess e = in(v) - out(v) - sink, and the range of
+    its ends below; with k ends below it takes k + e above.
+    """
+    most = d - downs + arriving - sink  # largest out(v) with ends below <= d
+    for started in _weight_tuples(most, left if v < n else 0, most):
+        if left - len(started) > room[v]:
+            continue  # the genus prune
+        e = arriving - sum(started) - sink
+        # the top floor takes every end still unused
+        low = max(0, -e, d - downs if v == n else 0)
+        yield started, e, range(low, min(d - downs, up_ends - used_up - e) + 1)
 
 
 def _weight_tuples(max_sum: int, max_len: int, max_w: int) -> Iterator[tuple[int, ...]]:
@@ -255,24 +260,6 @@ def _weight_tuples(max_sum: int, max_len: int, max_w: int) -> Iterator[tuple[int
         for w in range(min(max_w, max_sum), 0, -1):
             for rest in _weight_tuples(max_sum - w, max_len - 1, w):
                 yield (w,) + rest
-
-
-def _down_choices(d: int, excess: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Nonnegative down-counts per floor summing to d with up-counts >= 0.
-
-    up(v) = down(v) + excess[v-1], so floor v takes at least max(0, -excess)
-    ends below, and the slack left of d is spread over the n floors by stars
-    and bars: n - 1 bars among slack + n - 1 places.  For P2 the minima
-    already sum to d, so there is exactly one choice.
-    """
-    minima = [max(0, -e) for e in excess]
-    n = len(minima)
-    slack = d - sum(minima)
-    if slack < 0:  # one floor would still get one (negative) choice below
-        return
-    for bars in combinations(range(slack + n - 1), n - 1):
-        cuts = (-1, *bars, slack + n - 1)
-        yield tuple(m + hi - lo - 1 for m, lo, hi in zip(minima, cuts, cuts[1:]))
 
 
 # -- markings ------------------------------------------------------------------
@@ -383,11 +370,8 @@ def compute_G_floor(deg: BalancedDegree, g: int) -> RefinedPoly:
                 kept = [comp for i, comp in enumerate(comps) if i not in merged]
                 joined = [(w, m - k, r) for (i, (w, m, r)), k in zip(classes, ks)
                           if i in merged and m > k]
-                most = d - downs + arriving - sink  # largest out(v) with ends below <= d
-                for started in _weight_tuples(most, left if v < n else 0, most):
-                    remaining = left - len(started)
-                    if remaining > room[v]:
-                        continue
+                for started, e, ends in _floor_choices(v, n, arriving, downs, used_up, left,
+                                                       d, sink, up_ends, room):
                     if started not in starts:
                         starts[started] = ([(w, k, k) for w, k in Counter(started).items()],
                                            _weights_multiplicity(started))
@@ -397,15 +381,10 @@ def compute_G_floor(deg: BalancedDegree, g: int) -> RefinedPoly:
                         continue  # floor v's component has no elevator going up
                     # floor n ends every elevator, which leaves no component
                     key_comps = tuple(sorted(kept + [tuple(sorted(comp_v))])) if v < n else ()
-                    e = arriving - sum(started) - sink
-                    # floor v takes `down` ends below and down + e above; the
-                    # top floor takes every end still unused
-                    low = max(0, -e, d - downs if v == n else 0)
-                    high = min(d - downs, up_ends - used_up - e)
-                    for down in range(low, high + 1):
+                    for down in ends:
                         up = down + e
                         key = (key_comps, tuple(sorted(ups + (up,))) if up else ups,
-                               downs + down, used_up + up, remaining)
+                               downs + down, used_up + up, left - len(started))
                         target = nxt.get(key)
                         if target is None:
                             target = nxt[key] = {}

@@ -225,6 +225,38 @@ def test_count_verify_cache(capsys, isolated_cache):
     assert "cache: MISMATCH" in err
 
 
+def test_count_serves_a_cached_count_for_every_lambda_order(capsys, isolated_cache,
+                                                            monkeypatch):
+    # G does not depend on the order, so the cache key holds none: a second
+    # order is served from the first order's entry, and --verify-cache
+    # recomputes in the order given
+    code, first, _ = run(capsys, "count", "P2:d=3", "--lambda", "lex:+x,+y")
+    assert code == 0
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    with monkeypatch.context() as m:
+        for name in ("compute_G_floor", "compute_G_path", "get_engine"):
+            m.setattr(cli, name, no_engine)
+        assert run(capsys, "count", "P2:d=3", "--lambda", "lex:-y,+x") == (0, first, "")
+    assert len(isolated_cache.read_text().splitlines()) == 1
+
+    orders = []
+    compute = cli.compute_G_path
+
+    def recording(deg, g, lam):
+        orders.append(lam.spec())
+        return compute(deg, g, lam)
+
+    monkeypatch.setattr(cli, "compute_G_path", recording)
+    code, out, err = run(capsys, "count", "P2:d=3", "--verify-cache", "--lambda", "lex:-y,+x")
+    assert (code, out) == (0, first)
+    assert orders == ["lex:-y,+x"]
+    assert err.startswith("cache: verified")
+    assert len(isolated_cache.read_text().splitlines()) == 1
+
+
 def test_count_skips_corrupt_cache_lines(capsys, isolated_cache):
     def entry(**fields):
         good = {"version": cli.CACHE_VERSION, "spec": "P2:d=3", "genus": 0, "engine": "path",
@@ -470,3 +502,19 @@ def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
         results.append((proc.returncode, proc.stdout, proc.stderr))
     assert results[0] == results[1]
     assert results[0][0] == 0 and results[0][1]
+
+
+@pytest.mark.parametrize("argv", [["paths", "P2:d=5"], ["diagrams", "P2:d=6"]], ids=" ".join)
+def test_a_listing_whose_reader_leaves_exits_141_quietly(argv, tmp_path):
+    # as under `| head -1`: both listings run to hundreds of kilobytes, more
+    # than a pipe holds, and a filter killed by SIGPIPE exits 128 + 13
+    src = str(Path(refinedcount.__file__).parents[1])
+    env = dict(os.environ, REFINED_COUNT_CACHE=str(tmp_path / "cache.jsonl"),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "refinedcount.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"{")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
