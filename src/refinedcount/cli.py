@@ -14,12 +14,15 @@ Subcommands:
 ``count``, ``curve``, ``analyze`` and ``invariance`` each build one record
 and print it through one emitter as a table, one JSON object or CSV rows.
 ``paths`` prints each path as the engine yields its id, without building
-the list first.  A corrupt cache line, or a cache that cannot be written,
-never fails a command: it is reported on stderr and the count is printed.
+the list first.  A corrupt cache line, or a cache that cannot be read or
+written, never fails a command: it is reported on stderr and the count is
+printed.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 unsupported
-combination (e.g. the floor engine on a degree outside its two families),
-141 the reader closed stdout early (128 + SIGPIPE).
+Exit codes: 0 success, 1 check failure, 2 usage error (an unreadable curve
+file among them), 3 unsupported combination (e.g. the floor engine on a
+degree outside its two families), 74 any other I/O error, such as a full
+disk under stdout (sysexits' EX_IOERR), 141 the reader closed stdout early
+(128 + SIGPIPE).
 All output is deterministic: identical invocations give identical bytes.
 """
 
@@ -69,6 +72,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
+EXIT_IO = 74  # sysexits' EX_IOERR
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as for a filter that signal killed
 
 CACHE_ENV_VAR = "REFINED_COUNT_CACHE"
@@ -85,8 +89,9 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
 
     The file is append-only, so the last well-formed entry for a key wins.
     A cache must never make the tool fail: anything unreadable is reported
-    on stderr and ignored.  A well-formed entry written under another
-    CACHE_VERSION, or none, is skipped silently and so gets recomputed.
+    on stderr and ignored, and a file that cannot be read holds no entries.
+    A well-formed entry written under another CACHE_VERSION, or none, is
+    skipped silently and so gets recomputed.
     A missing cache, or a path that is not a file, holds no entries.
     """
     entries: dict[tuple[str, int, str], dict] = {}
@@ -94,28 +99,32 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
         return entries
     # a byte that is not UTF-8 decodes to a lone surrogate, which fails to
     # encode inside the try below, so its line is reported as corrupt
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                line.encode("utf-8")
-                obj = json.loads(line)
-                RefinedPoly.from_json_obj(obj["poly"])
-                # only what append_cache writes: a bool or float would pass int() or ==
-                key = (obj["spec"], _json_int(obj["genus"]), obj["engine"])
-                _json_int(obj.get("version", 0))
-                if not (isinstance(key[0], str) and isinstance(key[2], str)):
-                    raise TypeError("spec and engine must be strings")
-            except (ValueError, KeyError, TypeError) as exc:
-                print(
-                    f"warning: {path}:{lineno}: skipping corrupt cache line ({exc})",
-                    file=sys.stderr,
-                )
-                continue
-            if obj.get("version") == CACHE_VERSION:
-                entries[key] = obj
+    try:
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    line.encode("utf-8")
+                    obj = json.loads(line)
+                    RefinedPoly.from_json_obj(obj["poly"])
+                    # only what append_cache writes: a bool or float would pass int() or ==
+                    key = (obj["spec"], _json_int(obj["genus"]), obj["engine"])
+                    _json_int(obj.get("version", 0))
+                    if not (isinstance(key[0], str) and isinstance(key[2], str)):
+                        raise TypeError("spec and engine must be strings")
+                except (ValueError, KeyError, TypeError) as exc:
+                    print(
+                        f"warning: {path}:{lineno}: skipping corrupt cache line ({exc})",
+                        file=sys.stderr,
+                    )
+                    continue
+                if obj.get("version") == CACHE_VERSION:
+                    entries[key] = obj
+    except OSError as exc:
+        print(f"warning: cache not read: {exc}", file=sys.stderr)
+        return {}
     return entries
 
 
@@ -248,7 +257,10 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
+    try:
+        text = Path(args.file).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(str(exc)) from exc  # a bad argument, not a failing device
     curve = CurveCombinatorics.from_json(text)
     stats = curve_multiplicities(curve)
     checks = property_report(curve)
@@ -268,10 +280,16 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 def cmd_diagrams(args: argparse.Namespace) -> int:
     deg = _degree(args)
+    # the multiplicity depends only on the weight multiset, which few diagrams vary
+    multiplicities: dict[tuple[int, ...], str] = {}
     for D in enumerate_diagrams(deg, args.genus):
         obj = D.to_json_obj()
         obj["nu"] = markings_count(D)
-        obj["multiplicity"] = str(refined_multiplicity(D))
+        weights = tuple(sorted(w for _, _, w in D.elevators))
+        mult = multiplicities.get(weights)
+        if mult is None:
+            mult = multiplicities[weights] = str(refined_multiplicity(D))
+        obj["multiplicity"] = mult
         print(json.dumps(obj))
     return EXIT_OK
 
@@ -410,9 +428,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnsupportedDegreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -62,12 +62,13 @@ exactly those reachable from its arc by inverse moves: an inverse cut
 inserts a lattice point between two consecutive path points, an inverse
 reflect moves an inner point to its parallelogram reflection, and a
 candidate parent is kept only if its first poking corner is the moved point
-(so resolving that corner gives the child back).  One breadth-first pass
-per side, grown one path length at a time and kept, serves every genus.
-The pass runs on the selective side, the one whose arc has more lattice
+(so resolving that corner gives the child back).  One breadth-first pass,
+grown one path length at a time and kept, serves every genus.  It runs on
+one side only, the selective side, the one whose arc has more lattice
 points (plus on a tie): a longer arc leaves less room for a completed
 deformation, so that side's live set is the small one (on P2(5), in every
 order, 1833 live paths of length kappa against 20950 on the other side).
+The other side's live paths are never listed.
 A count visits only its live paths of the wanted length, reads the other
 side's mu first and the selective side's only for paths live on both.
 
@@ -96,7 +97,7 @@ lambda) pair owns one long-lived engine (`get_engine`), and the engine owns
 all of its state: the memo tables of the classical recursion (one dict per
 side, keyed by arc-to-arc piece of three points or more; no whole path is
 stored) and of the reference's side profiles (one dict per side, keyed by
-path id), the live levels of each side, the balanced sub-degrees of its
+path id), the selective side's live levels, the balanced sub-degrees of its
 degree (enumerated once), the exponential formula's memo, and G of each
 genus already counted, so a repeat count only reads it back.  Every dead
 entry is the one shared empty dict `_DEAD`, and no memo value is ever
@@ -312,10 +313,11 @@ class PathEngine:
         self._arc_next = {side: dict(zip(arc, arc[1:])) for side, arc in self._arcs.items()}
         plus_longer = len(self._arcs[PLUS]) >= len(self._arcs[MINUS])
         self._selective, self._other = (PLUS, MINUS) if plus_longer else (MINUS, PLUS)
-        # live paths found backwards from each arc: one set per length, from
-        # the arc's up, plus the parents already found one point longer
-        self._levels: dict[str, list[set[bytes]]] = {PLUS: [], MINUS: []}
-        self._seeds: dict[str, set[bytes]] = {PLUS: {self._arcs[PLUS]}, MINUS: {self._arcs[MINUS]}}
+        # the selective side's live paths, found backwards from its arc: one
+        # set per length, from the arc's up, plus the parents already found
+        # one point longer
+        self._levels: list[set[bytes]] = []
+        self._seeds: set[bytes] = {self._arcs[self._selective]}
         # one memo per side, keyed by arc-to-arc piece
         self._memo: dict[str, dict[bytes, dict[int, int]]] = {PLUS: {}, MINUS: {}}
         self._profiles: dict[str, dict[bytes, dict[Profile, dict[int, int]]]] = {PLUS: {}, MINUS: {}}
@@ -390,29 +392,28 @@ class PathEngine:
 
     # -- live paths, generated backwards from the arc ---------------------------
 
-    def _level(self, side: str, n: int) -> set[bytes] | frozenset:
-        """The side's live paths of n points as a set, grown on demand."""
-        levels = self._levels[side]
-        i = n - len(self._arcs[side])
+    def _level(self, n: int) -> set[bytes] | frozenset:
+        """The selective side's live paths of n points as a set, grown on demand."""
+        i = n - len(self._arcs[self._selective])
         if i < 0 or n > len(self.points):
             return frozenset()
-        while len(levels) <= i:
-            self._grow(side)
-        return levels[i]
+        while len(self._levels) <= i:
+            self._grow()
+        return self._levels[i]
 
-    def _grow(self, side: str) -> None:
+    def _grow(self) -> None:
         """Close the pending parents under inverse reflects: the next level."""
-        level = self._seeds[side]
+        level = self._seeds
         longer: set[bytes] = set()
         stack = list(level)
-        sign = 1 if side == PLUS else -1
+        sign = 1 if self._selective == PLUS else -1
         while stack:
             for parent in self._inverse_moves(stack.pop(), sign, longer):
                 if parent not in level:
                     level.add(parent)
                     stack.append(parent)
-        self._levels[side].append(level)
-        self._seeds[side] = longer
+        self._levels.append(level)
+        self._seeds = longer
 
     def _inverse_moves(self, child: bytes, sign: int, longer: set[bytes]) -> list[bytes]:
         """Parents of a live child: inverse cuts go into `longer`, inverse
@@ -490,7 +491,7 @@ class PathEngine:
         side's mu is read first, and the selective side's only if it is live.
         """
         total: dict[int, int] = {}
-        for ids in self._level(self._selective, self.kappa + g):
+        for ids in self._level(self.kappa + g):
             other = self.mu_ids(ids, self._other)
             if other:
                 _accumulate(total, other, self.mu_ids(ids, self._selective), 1)
@@ -584,7 +585,7 @@ class PathEngine:
         only if the other side is live too.
         """
         ids = bytes(ids)
-        if ids not in self._level(self._selective, len(ids)) or not self.side_profiles(ids, self._other):
+        if ids not in self._level(len(ids)) or not self.side_profiles(ids, self._other):
             return {}
         plus = self.side_profiles(ids, PLUS)
         joint: dict[int, int] = {}

@@ -152,6 +152,24 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
     assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
     assert err == "error: lattice-path engine supports at most 256 lattice points in the polygon, got 276\n"
     assert not isolated_cache.exists()
+    # the gate reads Pick's counts: 4.5 million points are refused, not listed
+    code, out, err = run(capsys, "count", "P2:d=3000")
+    assert (code, out) == (3, "")
+    assert err == ("error: lattice-path engine supports at most 256 lattice points in the "
+                   "polygon, got 4504501\n")
+
+    # valid arguments over a device that fails to write are an I/O error, not
+    # a usage error: one line on stderr, exit 74 (sysexits' EX_IOERR)
+    if os.path.exists("/dev/full"):
+        src = str(Path(refinedcount.__file__).parents[1])
+        env = dict(os.environ, REFINED_COUNT_CACHE=str(isolated_cache),
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in (["count", "P2:d=3"], ["diagrams", "P2:d=4"]):
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-m", "refinedcount.cli", *argv],
+                                      env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+            assert proc.returncode == cli.EXIT_IO == 74, argv
+            assert proc.stderr == "error: [Errno 28] No space left on device\n", argv
 
     assert main(["count", "P2:d=3", "--jobs", "2"]) == 2  # no such option
     assert main([]) == 2
@@ -257,7 +275,7 @@ def test_count_serves_a_cached_count_for_every_lambda_order(capsys, isolated_cac
     assert len(isolated_cache.read_text().splitlines()) == 1
 
 
-def test_count_skips_corrupt_cache_lines(capsys, isolated_cache):
+def test_count_skips_corrupt_cache_lines(capsys, isolated_cache, monkeypatch):
     def entry(**fields):
         good = {"version": cli.CACHE_VERSION, "spec": "P2:d=3", "genus": 0, "engine": "path",
                 "poly": [[0, "99"]]}
@@ -293,6 +311,21 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache):
     assert err.count("skipping corrupt cache line") == 11
     # the fresh results are appended after the corrupt and blank lines
     assert len(isolated_cache.read_text().splitlines()) == 14
+
+    # a cache that cannot be opened at all counts as empty: a warning, the count
+    opened = Path.open
+
+    def refusing(self, *args, **kwargs):
+        if self == isolated_cache:
+            raise PermissionError(13, "Permission denied", str(self))
+        return opened(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refusing)
+    code, out, err = run(capsys, "count", "P2:d=3")
+    assert code == 0
+    assert "G: y+10+y^-1\n" in out
+    assert err == (f"warning: cache not read: [Errno 13] Permission denied: '{isolated_cache}'\n"
+                   f"warning: cache not written: [Errno 13] Permission denied: '{isolated_cache}'\n")
 
 
 def test_count_skips_a_cache_line_that_is_not_utf8(capsys, isolated_cache):
@@ -361,6 +394,10 @@ def test_curve_report(capsys):
     assert code == 0
     assert "check eval_at_-1_is_mu_real: n/a" in out
 
+    code, out, _ = run(capsys, "curve", str(DATA_DIR / "delta3_vertex_mult3.json"))
+    assert code == 0
+    assert "\nG: y+1+y^-1\n" in out
+
     code, out, _ = run(capsys, "curve", str(path), "--format", "json")
     assert code == 0
     obj = json.loads(out)
@@ -371,9 +408,10 @@ def test_curve_report(capsys):
     assert code == 0
     assert out.splitlines()[0] == "mu_C,mu_R,G,alpha,genus,degree"
 
+    # a file that cannot be read is a bad argument, not a failing device
     code, _, err = run(capsys, "curve", str(DATA_DIR / "missing.json"))
     assert code == 2
-    assert "error:" in err
+    assert err == f"error: [Errno 2] No such file or directory: '{DATA_DIR / 'missing.json'}'\n"
 
 
 def test_curve_with_a_degenerate_vertex_is_a_usage_error(capsys, tmp_path):
@@ -402,7 +440,7 @@ def test_curve_whose_ends_do_not_form_a_degree_is_a_usage_error(capsys, tmp_path
         assert err.startswith("error: balancing: the unbounded ends do not form a degree"), name
 
 
-def test_diagrams_listing(capsys):
+def test_diagrams_listing(capsys, monkeypatch):
     code, out, _ = run(capsys, "diagrams", "P2:d=4", "--genus", "1")
     assert code == 0
     lines = out.strip().splitlines()
@@ -410,6 +448,31 @@ def test_diagrams_listing(capsys):
     objs = [json.loads(line) for line in lines]
     assert sum(o["nu"] for o in objs if o["multiplicity"] == "1") == 92
     assert all(o["family"] == "P2" and o["floors"] == 4 for o in objs)
+
+    # the genus prune lists the septic's single top-genus diagram at once
+    code, out, _ = run(capsys, "diagrams", "P2:d=7", "--genus", "15")
+    assert code == 0
+    assert len(out.splitlines()) == 1 and json.loads(out)["nu"] == 1
+
+    # the quadric strip splits its ends below and above over two floors
+    code, out, _ = run(capsys, "diagrams", "P1xP1:d=4,r=2")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 10
+    assert ('{"family": "P1xP1", "floors": 2, "elevators": [{"lower": 1, "upper": 2, '
+            '"weight": 1}], "infinite_down": [2, 2], "infinite_up": [1, 3], "nu": 102, '
+            '"multiplicity": "1"}') in lines
+
+    # the multiplicity depends only on the weight multiset: formed once per multiset
+    calls = []
+    multiplicity = cli.refined_multiplicity
+    monkeypatch.setattr(cli, "refined_multiplicity",
+                        lambda D: calls.append(D) or multiplicity(D))
+    code, out, _ = run(capsys, "diagrams", "P2:d=5", "--genus", "1")
+    assert code == 0
+    multisets = {tuple(sorted(e["weight"] for e in json.loads(line)["elevators"]))
+                 for line in out.splitlines()}
+    assert len(calls) == len(multisets) < len(out.splitlines())
 
     code, _, err = run(capsys, "diagrams", "polygon:(0,0),(2,1),(0,2)")
     assert code == 3
@@ -471,7 +534,15 @@ def test_invariance_command(capsys):
     assert code == 0
     assert "check lambda invariance: pass" in out
     assert "check engine agreement: pass" in out
+    assert "check evaluations at (1, -1): pass" in out
     assert "(12, 8)" in out
+
+    # a hexagon that is not h-transverse: the path engine alone, in 8 orders
+    code, out, _ = run(capsys, "invariance", "polygon:(0,0),(2,0),(3,1),(3,2),(1,3),(0,1)",
+                       "--genus", "1")
+    assert code == 0
+    assert "\nG: 4*y^3+36*y^2+156*y+351+156*y^-1+36*y^-2+4*y^-3\n" in out
+    assert "check lambda invariance: pass" in out
 
 
 def test_invocations_are_deterministic(capsys):

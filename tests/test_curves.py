@@ -45,6 +45,9 @@ def load(name: str) -> CurveCombinatorics:
 def test_fixture_roster_is_complete():
     assert len(FIXTURES) == 20
     assert {p.name for p in FIXTURES} == set(make_curves.EXPECTED)
+    # the committed files are what the builders make (run without writing them)
+    built = {name: curve.to_json() for name, curve in make_curves.build_all()}
+    assert built == {p.name: p.read_text(encoding="utf-8") for p in FIXTURES}
 
 
 def test_vertex_star_validation():

@@ -279,10 +279,10 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
         other = MINUS if selective == PLUS else PLUS
         for g in range(genus_max(deg) + 1):
             tuples = list(map(bytes, engine.path_id_tuples(g, deg.kappa)))
-            live = {}
-            for side in (MINUS, PLUS):
-                live[side] = sorted(engine._level(side, deg.kappa + g))
-                assert live[side] == [ids for ids in tuples if engine.mu_ids(ids, side)]
+            live = {side: [ids for ids in tuples if engine.mu_ids(ids, side)]
+                    for side in (MINUS, PLUS)}
+            # the backward pass lists exactly the selective side's live paths
+            assert sorted(engine._level(deg.kappa + g)) == live[selective]
             # the longer arc's side is never the larger live set
             assert len(live[selective]) <= len(live[other])
             # every tuple off the live sets has no multiplicity, and the live
