@@ -409,6 +409,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_unwritten_stdout() -> None:
+    """If stdout cannot take what is still buffered, send it to the null
+    device: the flush at exit would otherwise fail again, print a second
+    error and turn the exit code into 120."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -421,9 +431,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.flush()  # a reader gone early shows here, not at exit
         return code
     except BrokenPipeError:
-        # the reader closed stdout (`| head` does): send what is still
-        # buffered to the null device, so nothing is printed at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed stdout (`| head` does)
+        _drop_unwritten_stdout()
         return EXIT_BROKEN_PIPE
     except UnsupportedDegreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -433,6 +442,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _drop_unwritten_stdout()
         return EXIT_IO
 
 

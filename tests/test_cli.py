@@ -29,6 +29,17 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def cli_process(argv, cache, **env):
+    """The command line and environment that run the CLI from this checkout
+    in a fresh interpreter, with `cache` as its result cache and stdout
+    block-buffered, as a shell gives it."""
+    src = str(Path(refinedcount.__file__).parents[1])
+    env = dict(os.environ, REFINED_COUNT_CACHE=str(cache), **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return [sys.executable, "-m", "refinedcount.cli", *argv], env
+
+
 def test_count_cubic_table(capsys):
     code, out, err = run(capsys, "count", "P2:d=3")
     assert code == 0
@@ -161,13 +172,11 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
     # valid arguments over a device that fails to write are an I/O error, not
     # a usage error: one line on stderr, exit 74 (sysexits' EX_IOERR)
     if os.path.exists("/dev/full"):
-        src = str(Path(refinedcount.__file__).parents[1])
-        env = dict(os.environ, REFINED_COUNT_CACHE=str(isolated_cache),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for argv in (["count", "P2:d=3"], ["diagrams", "P2:d=4"]):
+            cmd, env = cli_process(argv, isolated_cache)
             with open("/dev/full", "w") as full:
-                proc = subprocess.run([sys.executable, "-m", "refinedcount.cli", *argv],
-                                      env=env, stdout=full, stderr=subprocess.PIPE, text=True)
+                proc = subprocess.run(cmd, env=env, stdout=full, stderr=subprocess.PIPE,
+                                      text=True)
             assert proc.returncode == cli.EXIT_IO == 74, argv
             assert proc.stderr == "error: [Errno 28] No space left on device\n", argv
 
@@ -449,11 +458,6 @@ def test_diagrams_listing(capsys, monkeypatch):
     assert sum(o["nu"] for o in objs if o["multiplicity"] == "1") == 92
     assert all(o["family"] == "P2" and o["floors"] == 4 for o in objs)
 
-    # the genus prune lists the septic's single top-genus diagram at once
-    code, out, _ = run(capsys, "diagrams", "P2:d=7", "--genus", "15")
-    assert code == 0
-    assert len(out.splitlines()) == 1 and json.loads(out)["nu"] == 1
-
     # the quadric strip splits its ends below and above over two floors
     code, out, _ = run(capsys, "diagrams", "P1xP1:d=4,r=2")
     assert code == 0
@@ -562,14 +566,10 @@ def test_invocations_are_deterministic(capsys):
 def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
     # the engines' sets of tuples and bytes iterate in hash order, which
     # PYTHONHASHSEED changes from one process to the next
-    src = str(Path(refinedcount.__file__).parents[1])
     results = []
     for seed in ("0", "987654"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   REFINED_COUNT_CACHE=str(tmp_path / f"cache-{seed}.jsonl"),
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "refinedcount.cli", *argv],
-                              env=env, capture_output=True, text=True)
+        cmd, env = cli_process(argv, tmp_path / f"cache-{seed}.jsonl", PYTHONHASHSEED=seed)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         results.append((proc.returncode, proc.stdout, proc.stderr))
     assert results[0] == results[1]
     assert results[0][0] == 0 and results[0][1]
@@ -579,11 +579,8 @@ def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
 def test_a_listing_whose_reader_leaves_exits_141_quietly(argv, tmp_path):
     # as under `| head -1`: both listings run to hundreds of kilobytes, more
     # than a pipe holds, and a filter killed by SIGPIPE exits 128 + 13
-    src = str(Path(refinedcount.__file__).parents[1])
-    env = dict(os.environ, REFINED_COUNT_CACHE=str(tmp_path / "cache.jsonl"),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen([sys.executable, "-m", "refinedcount.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    cmd, env = cli_process(argv, tmp_path / "cache.jsonl")
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline().startswith(b"{")
     proc.stdout.close()
     assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
