@@ -152,8 +152,7 @@ def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
     shape: the agreement check is then omitted rather than failed.  The
     count is the path engine's, whose degrees are primitive, so every end
     has weight 1 and G has integer powers.  The one evaluation law is then
-    |G(-1)| <= G(1) with equal parity; it fails, rather than raising, if G
-    ever has a half-integer power.
+    |G(-1)| <= G(1) with equal parity.
     """
     by_order = {lam.spec(): compute_G_path(deg, g, lam=lam) for lam in all_orders()}
     G = by_order[DEFAULT_ORDER.spec()]
@@ -170,14 +169,13 @@ def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
         floor_G = compute_G_floor(deg, g)
         checks.append(_check("engine agreement", G, floor_G, floor_G == G))
     value_1 = G.evaluate(1)
-    value_m1 = G.evaluate(-1) if G.has_integer_powers() else None
-    ok = value_m1 is not None and abs(value_m1) <= value_1 and (value_1 - value_m1) % 2 == 0
+    value_m1 = G.evaluate(-1)
     checks.append(
         _check(
             "evaluations at (1, -1)",
             "|value at -1| <= value at 1, equal parity",
             (value_1, value_m1),
-            ok,
+            abs(value_m1) <= value_1 and (value_1 - value_m1) % 2 == 0,
         )
     )
     try:

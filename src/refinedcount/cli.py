@@ -108,7 +108,9 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
                 try:
                     line.encode("utf-8")
                     obj = json.loads(line)
-                    RefinedPoly.from_json_obj(obj["poly"])
+                    # both engines count weight-one ends only, so G has integer powers
+                    if not RefinedPoly.from_json_obj(obj["poly"]).has_integer_powers():
+                        raise ValueError("half-integer power")
                     # only what append_cache writes: a bool or float would pass int() or ==
                     key = (obj["spec"], _json_int(obj["genus"]), obj["engine"])
                     _json_int(obj.get("version", 0))
@@ -139,8 +141,11 @@ def append_cache(path: Path, spec: str, genus: int, engine: str, G: RefinedPoly)
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     try:
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
+        with path.open("ab+") as fh:
+            # a last line cut short (a writer killed mid-line) must not swallow this entry
+            if fh.tell() and os.pread(fh.fileno(), 1, fh.tell() - 1) != b"\n":
+                fh.write(b"\n")
+            fh.write(json.dumps(entry).encode() + b"\n")
     except OSError as exc:
         print(f"warning: cache not written: {exc}", file=sys.stderr)
 
@@ -228,7 +233,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     delta = delta_invariant(args.genus, deg)  # defined: _degree checked the genus
     eval_1 = G.evaluate(1)
-    eval_m1 = G.evaluate(-1) if G.has_integer_powers() else None
+    eval_m1 = G.evaluate(-1)
 
     record: dict = {
         "spec": spec,
@@ -241,13 +246,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         "eval_at_minus_1": eval_m1,
     }
     table = [f"spec: {spec}", f"genus: {args.genus}", f"engine: {args.engine}", f"G: {G}",
-             f"delta: {delta}", f"eval(1): {eval_1}"]
-    if eval_m1 is not None:
-        table.append(f"eval(-1): {eval_m1}")
+             f"delta: {delta}", f"eval(1): {eval_1}", f"eval(-1): {eval_m1}"]
     if agreement is not None:
         record["agreement"] = agreement
         table.append(f"agreement: {'ok' if agreement else 'MISMATCH'}")
-    # csv writes None (no eval(-1)) as an empty field
     keys = ["spec", "genus", "engine", "polynomial", "delta", "eval_at_1", "eval_at_minus_1"]
     _emit(args.format, table, record, [keys, [record[k] for k in keys]])
 

@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: explicit enumeration of
 permutations, lattice scans over bounding boxes, and exhaustive cyclic-order
 search.  The production code must agree with these on small inputs.  The
 plane curve numbers (Kontsevich's N_d, Welschinger's W_d, Getzler's elliptic
-counts) come from outside tropical geometry and use nothing from either
+counts) and Göttsche-Pandharipande's rational counts on the plane blown up at
+three points come from outside tropical geometry and use nothing from either
 engine.  `floor_sum_over_diagrams` is the floor engine's former count, one
 markings count per listed diagram, kept as the reference for its sweep.
 `mu_whole_path` is the path engine's former side recursion, memoized by
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from math import comb, factorial, gcd
 
 from refinedcount.floors import FloorDiagram, enumerate_diagrams, markings_count
@@ -54,6 +55,50 @@ def kontsevich(d: int) -> int:
         )
         for a in range(1, d)
     )
+
+
+def _binom(n: int, k: int) -> int:
+    """C(n, k), and 0 when k is negative or above n."""
+    return comb(n, k) if 0 <= k <= n else 0
+
+
+@lru_cache(maxsize=None)
+def gp_blowup(d: int, a: int, b: int, c: int) -> int:
+    """Rational curves in the class dH - aE1 - bE2 - cE3 of the plane blown up
+    at three points, through 3d - a - b - c - 1 general points.
+
+    Göttsche-Pandharipande's recursion from the WDVV equations
+    (arXiv:alg-geom/9703016).  The cut-corner polygon {x + y >= a, x <= d - b,
+    y <= d - c} of the triangle of size d is this surface's, so the count is
+    G(0) at y = 1 there.  The base cases come in this order: an exceptional
+    class E_i counts 1 and any other class with d = 0 or a negative
+    multiplicity 0; the Cremona map lowers d while a + b + c > d; a
+    multiplicity of 1 is a point condition and is dropped; a line counts 1.
+    The order matters: the Cremona map sends H - E1 - E2 to E3.  The rest is
+    the (H, H, pt, pt) relation over splits D = D1 + D2; a split with d1 = 0
+    or d2 = 0 adds nothing, through a factor d1 or C(n - 3, n - 1) = 0.
+    """
+    cuts = (a, b, c)
+    if d == 0:
+        return int(sorted(cuts) == [-1, 0, 0])
+    if d < 0 or min(cuts) < 0:
+        return 0
+    if a + b + c > d:
+        return gp_blowup(2 * d - a - b - c, d - b - c, d - a - c, d - a - b)
+    if 1 in cuts:
+        return gp_blowup(d, *(0 if m == 1 else m for m in cuts))
+    if d == 1:
+        return 1
+    n = 3 * d - a - b - c - 1
+    total = 0
+    for d1, a1, b1, c1 in itertools.product(range(1, d), range(a + 1), range(b + 1),
+                                            range(c + 1)):
+        d2, a2, b2, c2 = d - d1, a - a1, b - b1, c - c1
+        n1 = 3 * d1 - a1 - b1 - c1 - 1
+        dot = d1 * d2 - a1 * a2 - b1 * b2 - c1 * c2
+        total += gp_blowup(d1, a1, b1, c1) * gp_blowup(d2, a2, b2, c2) * dot * (
+            d1 * d2 * _binom(n - 3, n1 - 1) - d1 * d1 * _binom(n - 3, n1))
+    return total
 
 
 def node_polynomial_1(d: int) -> int:

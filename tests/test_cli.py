@@ -61,6 +61,10 @@ def test_count_examples(capsys):
     code, out, _ = run(capsys, "count", "P1xP1:d=2,r=2", "--engine", "floor")
     assert code == 0 and "G: y+10+y^-1" in out
 
+    # a triangle that is neither P2 nor P1xP1
+    code, out, _ = run(capsys, "count", "polygon:(0,0),(2,1),(0,2)")
+    assert code == 0 and out.endswith("G: y+2+y^-1\ndelta: 1\neval(1): 4\neval(-1): 0\n")
+
 
 def test_count_json_format(capsys):
     code, out, _ = run(capsys, "count", "P2:d=3", "--format", "json")
@@ -89,17 +93,6 @@ def test_count_both_engines_agree(capsys):
     code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "both", "--format", "json")
     assert code == 0
     assert out.endswith('"agreement": true}\n')
-
-
-def test_count_half_integer_delta_omits_minus_1(capsys):
-    code, out, _ = run(
-        capsys, "count", "vectors:(2,0);(0,2);(-2,-2)", "--engine", "floor"
-    )
-    assert code == 3  # not a floor family either
-
-    code, out, _ = run(capsys, "count", "polygon:(0,0),(2,1),(0,2)")
-    assert code == 0
-    assert "eval(-1):" in out  # this degree still has integer powers
 
 
 def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
@@ -154,9 +147,10 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
         assert out == ""
         assert err == "error: lattice-path engine requires primitive degree\n"
 
-    code, _, err = run(capsys, "count", "polygon:(0,0),(2,1),(0,2)",
-                       "--engine", "floor")
-    assert code == 3
+    # neither degree is a floor family
+    for spec in ("polygon:(0,0),(2,1),(0,2)", nonprimitive):
+        code, _, err = run(capsys, "count", spec, "--engine", "floor")
+        assert code == 3
 
     # profile labels must fit a byte: refused before any count, nothing cached
     code, out, err = run(capsys, "count", "P2:d=22", "--engine", "path")
@@ -305,21 +299,35 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache, monkeypatch):
         entry(poly=[[0, "+1"]]),
         entry(poly=[[0, "0"]]),
         entry(poly=[[0, 1]]),
+        # no count has a half-integer power: y^(1/2)+y^(-1/2) is tampering
+        entry(poly=[[1, "1"], [-1, "1"]]),
         # a whitespace-only line is skipped without a warning
         " \t ",
+        # last, a line cut short with no newline, as a writer killed mid-line leaves it
+        entry()[:40],
     ]
-    isolated_cache.write_text("\n".join(lines) + "\n")
+    isolated_cache.write_text("\n".join(lines))
     code, out, err = run(capsys, "count", "P2:d=3")
     assert code == 0
     assert "G: y+10+y^-1" in out
-    assert err.count("skipping corrupt cache line") == 11
+    assert err.count("skipping corrupt cache line") == 13
     assert err.count("malformed polynomial term") == 4
+    assert err.count("(half-integer power)") == 1
     code, out, err = run(capsys, "count", "P2:d=3", "--genus", "1")
     assert code == 0
     assert "G: 1\n" in out
-    assert err.count("skipping corrupt cache line") == 11
-    # the fresh results are appended after the corrupt and blank lines
-    assert len(isolated_cache.read_text().splitlines()) == 14
+    assert err.count("skipping corrupt cache line") == 13
+    # the fresh results are appended after the corrupt and blank lines, each on its own line
+    assert len(isolated_cache.read_text().splitlines()) == 16
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    with monkeypatch.context() as m:
+        for name in ("compute_G_floor", "compute_G_path", "get_engine"):
+            m.setattr(cli, name, no_engine)
+        code, out, _ = run(capsys, "count", "P2:d=3")
+    assert code == 0 and "G: y+10+y^-1\n" in out
 
     # a cache that cannot be opened at all counts as empty: a warning, the count
     opened = Path.open

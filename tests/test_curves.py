@@ -7,7 +7,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
 
 from refinedcount import curves as curves_module
 from refinedcount.curves import (
@@ -25,7 +24,6 @@ from refinedcount.curves import (
 )
 from refinedcount.geometry import BalancedDegree, cross, p2_degree, parse_degree
 from refinedcount.laurent import RefinedPoly, quantum_integer
-from oracles import triangle_interior_brute
 
 DATA_DIR = Path(__file__).parent / "data" / "curves"
 
@@ -84,20 +82,6 @@ def test_vertex_multiplicities():
 
     with pytest.raises(ValueError):
         vertex_complex_mult(VertexStar((1, 0), (1, 0), (-2, 0)))
-
-
-vecs = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(
-    lambda v: v != (0, 0)
-)
-
-
-@given(vecs, vecs)
-def test_vertex_interior_points_match_brute_force(u1, u2):
-    u3 = (-u1[0] - u2[0], -u1[1] - u2[1])
-    if u3 == (0, 0) or u1[0] * u2[1] - u1[1] * u2[0] == 0:
-        return
-    star = VertexStar(u1, u2, u3)
-    assert vertex_interior_points(star) == triangle_interior_brute(u1, u2)
 
 
 def test_four_valent_vertex_resolutions_obey_the_local_identity():
@@ -432,17 +416,3 @@ def test_curve_immutable():
         curve.vertex_ids = ()
 
 
-def test_distribution_of_refined_weight_over_rational_cubics():
-    """Two explicit degree-3 genus-0 curve distributions both add up alike.
-
-    Eight unimodular curves plus one with a weight-2 dual edge, or eight
-    unimodular curves plus one trivalent multiplicity-3 vertex: either way the
-    weighted total is y + 10 + y^-1.
-    """
-    total = RefinedPoly({1: 1, 0: 10, -1: 1})
-    w2 = curve_multiplicities(load("delta3_weight2_edge.json")).refined
-    m3 = curve_multiplicities(load("delta3_vertex_mult3.json")).refined
-    assert w2 == RefinedPoly({1: 1, 0: 2, -1: 1})
-    assert m3 == quantum_integer(3)
-    assert RefinedPoly.constant(8) + w2 == total
-    assert RefinedPoly.constant(9) + m3 == total

@@ -4,10 +4,8 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from refinedcount.floors import (
-    FloorDiagram,
     UnsupportedDegreeError,
     _room,
     classify_family,
@@ -133,32 +131,6 @@ def test_refined_multiplicity_is_square_of_elevator_weights():
         for _, _, w in D.elevators:
             expected = expected * quantum_integer(w) ** 2
         assert refined_multiplicity(D) == expected
-
-
-def test_exact_counts_projective_plane():
-    assert compute_G_floor(p2_degree(3), 0) == RefinedPoly({1: 1, 0: 10, -1: 1})
-    assert compute_G_floor(p2_degree(3), 1) == RefinedPoly.one()
-    assert compute_G_floor(p2_degree(4), 2) == RefinedPoly({1: 3, 0: 21, -1: 3})
-    assert compute_G_floor(p2_degree(4), 1) == RefinedPoly(
-        {2: 3, 1: 33, 0: 153, -1: 33, -2: 3}
-    )
-    assert compute_G_floor(p2_degree(4), 0) == RefinedPoly(
-        {3: 1, 2: 13, 1: 94, 0: 404, -1: 94, -2: 13, -3: 1}
-    )
-
-
-def test_exact_counts_quadric():
-    assert compute_G_floor(p1xp1_degree(2, 2), 0) == RefinedPoly({1: 1, 0: 10, -1: 1})
-    assert compute_G_floor(p1xp1_degree(2, 2), 1) == RefinedPoly.one()
-
-
-def test_evaluations():
-    g03 = compute_G_floor(p2_degree(3), 0)
-    assert (g03.evaluate(1), g03.evaluate(-1)) == (12, 8)
-    g04 = compute_G_floor(p2_degree(4), 0)
-    assert (g04.evaluate(1), g04.evaluate(-1)) == (620, 240)
-    assert compute_G_floor(p2_degree(5), 0).evaluate(1) == 87304
-    assert compute_G_floor(p2_degree(5), 1).evaluate(1) == 87192
 
 
 def test_rational_counts_match_kontsevich_and_welschinger():
