@@ -37,7 +37,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from .analysis import InvariantReport, analyze, canonical_spec, cross_validate
+from .analysis import analyze, canonical_spec, cross_validate
 from .curves import (
     CurveCombinatorics,
     curve_multiplicities,
@@ -80,21 +80,28 @@ DEFAULT_CACHE = ".gcache.jsonl"
 # Bump when an engine fix changes any count, so older entries stop being served.
 CACHE_VERSION = 1
 
+# count's fields, record key -> table label; the keys are its CSV header
+COUNT_FIELDS = {"spec": "spec", "genus": "genus", "engine": "engine", "polynomial": "G",
+                "delta": "delta", "eval_at_1": "eval(1)", "eval_at_minus_1": "eval(-1)"}
+
 
 # -- result cache ---------------------------------------------------------------
 
 
-def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
-    """Map (canonical spec, genus, engine) -> newest entry; corrupt lines are skipped.
+def load_cache(path: Path) -> dict[tuple[str, int, str], RefinedPoly]:
+    """Map (canonical spec, genus, engine) -> newest entry's G; corrupt lines are skipped.
 
     The file is append-only, so the last well-formed entry for a key wins.
+    A line is well-formed only if its polynomial is written exactly as
+    append_cache writes it, terms in descending order; so two entries hold
+    the same G exactly when their ``poly`` bytes are equal.
     A cache must never make the tool fail: anything unreadable is reported
     on stderr and ignored, and a file that cannot be read holds no entries.
     A well-formed entry written under another CACHE_VERSION, or none, is
     skipped silently and so gets recomputed.
     A missing cache, or a path that is not a file, holds no entries.
     """
-    entries: dict[tuple[str, int, str], dict] = {}
+    entries: dict[tuple[str, int, str], RefinedPoly] = {}
     if not path.is_file():
         return entries
     # a byte that is not UTF-8 decodes to a lone surrogate, which fails to
@@ -108,9 +115,12 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
                 try:
                     line.encode("utf-8")
                     obj = json.loads(line)
+                    G = RefinedPoly.from_json_obj(obj["poly"])
                     # both engines count weight-one ends only, so G has integer powers
-                    if not RefinedPoly.from_json_obj(obj["poly"]).has_integer_powers():
+                    if not G.has_integer_powers():
                         raise ValueError("half-integer power")
+                    if G.to_json_obj() != obj["poly"]:
+                        raise ValueError("terms out of order")
                     # only what append_cache writes: a bool or float would pass int() or ==
                     key = (obj["spec"], _json_int(obj["genus"]), obj["engine"])
                     _json_int(obj.get("version", 0))
@@ -123,7 +133,7 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], dict]:
                     )
                     continue
                 if obj.get("version") == CACHE_VERSION:
-                    entries[key] = obj
+                    entries[key] = G
     except OSError as exc:
         print(f"warning: cache not read: {exc}", file=sys.stderr)
         return {}
@@ -163,18 +173,6 @@ def _emit(fmt: str, table_lines: list[str], json_obj: dict, csv_rows: list[list]
         print("\n".join(table_lines))
 
 
-def _print_report(report: InvariantReport, fmt: str) -> int:
-    delta = "-" if report.delta is None else report.delta
-    table = [f"spec: {report.degree_spec}", f"genus: {report.genus}", f"G: {report.G}",
-             f"delta: {delta}"]
-    table += [f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'} "
-              f"(expected={c['expected']} actual={c['actual']})" for c in report.checks]
-    keys = ["name", "expected", "actual", "pass"]
-    rows = [keys] + [[c[k] for k in keys] for c in report.checks]
-    _emit(fmt, table, report.to_json_obj(), rows)
-    return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED
-
-
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -190,26 +188,24 @@ def _degree(args: argparse.Namespace) -> BalancedDegree:
 def cmd_count(args: argparse.Namespace) -> int:
     deg = _degree(args)
     lam = LambdaOrder.parse(args.lam)
-    if args.engine in ("path", "both"):
-        _require_primitive(deg)
     spec = canonical_spec(deg)
 
-    path = Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE))
+    # an empty variable means the default, not the current directory
+    path = Path(os.environ.get(CACHE_ENV_VAR) or DEFAULT_CACHE)
     entries = load_cache(path)
     # an entry from --engine both was computed by both engines, which agreed
-    cached = entries.get((spec, args.genus, args.engine)) or entries.get(
-        (spec, args.genus, "both")
-    )
+    cached = entries.get((spec, args.genus, args.engine), entries.get((spec, args.genus, "both")))
 
     agreement: Optional[bool] = None
     if args.engine == "both":
         # Verification mode: always run both engines, never trust the cache
-        # for the verdict.
-        G_floor = compute_G_floor(deg, args.genus)
+        # for the verdict.  The path engine runs first, so its gates (a
+        # primitive degree, at most MAX_POINTS points) refuse before any
+        # floor work.
         G = compute_G_path(deg, args.genus, lam)
-        agreement = G_floor == G
+        agreement = compute_G_floor(deg, args.genus) == G
     elif cached is not None and not args.verify_cache:
-        G = RefinedPoly.from_json_obj(cached["poly"])
+        G = cached
     elif args.engine == "floor":
         G = compute_G_floor(deg, args.genus)
     else:
@@ -219,21 +215,16 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     verify_failed = False
     if args.verify_cache and cached is not None:
-        fresh_bytes = json.dumps(G.to_json_obj())
-        cached_bytes = json.dumps(cached["poly"])
-        if fresh_bytes == cached_bytes:
+        # the cached line is canonical, so equal polynomials are equal bytes
+        if G == cached:
             print(f"cache: verified ({path})", file=sys.stderr)
         else:
             print(
                 f"cache: MISMATCH for {spec} genus {args.genus}: "
-                f"cached {cached_bytes} != recomputed {fresh_bytes}",
+                f"cached {cached.to_json()} != recomputed {G.to_json()}",
                 file=sys.stderr,
             )
             verify_failed = True
-
-    delta = delta_invariant(args.genus, deg)  # defined: _degree checked the genus
-    eval_1 = G.evaluate(1)
-    eval_m1 = G.evaluate(-1)
 
     record: dict = {
         "spec": spec,
@@ -241,17 +232,15 @@ def cmd_count(args: argparse.Namespace) -> int:
         "engine": args.engine,
         "polynomial": str(G),
         "poly": G.to_json_obj(),
-        "delta": str(delta),
-        "eval_at_1": eval_1,
-        "eval_at_minus_1": eval_m1,
+        "delta": str(delta_invariant(args.genus, deg)),  # defined: _degree checked the genus
+        "eval_at_1": G.evaluate(1),
+        "eval_at_minus_1": G.evaluate(-1),
     }
-    table = [f"spec: {spec}", f"genus: {args.genus}", f"engine: {args.engine}", f"G: {G}",
-             f"delta: {delta}", f"eval(1): {eval_1}", f"eval(-1): {eval_m1}"]
+    table = [f"{label}: {record[key]}" for key, label in COUNT_FIELDS.items()]
     if agreement is not None:
         record["agreement"] = agreement
         table.append(f"agreement: {'ok' if agreement else 'MISMATCH'}")
-    keys = ["spec", "genus", "engine", "polynomial", "delta", "eval_at_1", "eval_at_minus_1"]
-    _emit(args.format, table, record, [keys, [record[k] for k in keys]])
+    _emit(args.format, table, record, [list(COUNT_FIELDS), [record[k] for k in COUNT_FIELDS]])
 
     if agreement is False or verify_failed:
         return EXIT_CHECK_FAILED
@@ -312,14 +301,18 @@ def cmd_paths(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    report = analyze(_degree(args), args.genus)
-    return _print_report(report, args.format)
-
-
-def cmd_invariance(args: argparse.Namespace) -> int:
-    report = cross_validate(_degree(args), args.genus)
-    return _print_report(report, args.format)
+def cmd_report(args: argparse.Namespace) -> int:
+    """``analyze`` or ``invariance``: the subcommand's report on one count."""
+    report = args.report(_degree(args), args.genus)
+    delta = "-" if report.delta is None else report.delta
+    table = [f"spec: {report.degree_spec}", f"genus: {report.genus}", f"G: {report.G}",
+             f"delta: {delta}"]
+    table += [f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'} "
+              f"(expected={c['expected']} actual={c['actual']})" for c in report.checks]
+    keys = ["name", "expected", "actual", "pass"]
+    rows = [keys] + [[c[k] for k in keys] for c in report.checks]
+    _emit(args.format, table, report.to_json_obj(), rows)
+    return EXIT_OK if report.all_pass() else EXIT_CHECK_FAILED
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -399,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="structural-law report for one count")
     p_analyze.add_argument("spec")
     _add_common(p_analyze, fmt=True)
-    p_analyze.set_defaults(func=cmd_analyze)
+    p_analyze.set_defaults(func=cmd_report, report=analyze)
 
     p_inv = sub.add_parser(
         "invariance", help="ordering-independence and engine-agreement checks"
     )
     p_inv.add_argument("spec")
     _add_common(p_inv, fmt=True)
-    p_inv.set_defaults(func=cmd_invariance)
+    p_inv.set_defaults(func=cmd_report, report=cross_validate)
 
     return parser
 

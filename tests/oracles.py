@@ -6,10 +6,12 @@ search.  The production code must agree with these on small inputs.  The
 plane curve numbers (Kontsevich's N_d, Welschinger's W_d, Getzler's elliptic
 counts) and Göttsche-Pandharipande's rational counts on the plane blown up at
 three points come from outside tropical geometry and use nothing from either
-engine.  `floor_sum_over_diagrams` is the floor engine's former count, one
-markings count per listed diagram, kept as the reference for its sweep.
-`mu_whole_path` is the path engine's former side recursion, memoized by
-whole path, kept as the reference for its product over arc-to-arc pieces.
+engine; so does `one_nodal_severi`, the universal law for one-nodal curves
+on a smooth toric surface.  `floor_sum_over_diagrams` is the floor engine's
+former count, one markings count per listed diagram, kept as the reference
+for its sweep.  `mu_whole_path` is the path engine's former side recursion,
+memoized by whole path, kept as the reference for its product over
+arc-to-arc pieces.
 """
 
 from __future__ import annotations
@@ -117,6 +119,28 @@ def node_polynomial_2(d: int) -> int:
     first two factors is even, so the division is exact.
     """
     return 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11) // 2
+
+
+def one_nodal_severi(vertices: list[Vec]) -> RefinedPoly:
+    """N^{Δ,1}(y) = i*y + (4i + b + e - 6) + i*y^-1 on a smooth polygon Δ.
+
+    i, b and e are Δ's interior points, boundary points and edges.  This is
+    the universal law's δ = 1 term, ½(L² + LK + 2)(y + y⁻¹) + (2L² + LK -
+    K² + 10), with L² = 2·area, -LK = b and K² = 12 - e (Göttsche's
+    conjecture, refined by Göttsche-Shende, arXiv:1208.1973): one-nodal
+    curves through i + b - 2 points, reducible ones too.  i, b and e come
+    from the vertices alone, given in cyclic order: the shoelace formula, the
+    gcd of each edge's steps and Pick's theorem.  A vertex on a straight
+    angle is not a corner, so it adds no edge.
+    """
+    n = len(vertices)
+    steps = [(vertices[(k + 1) % n][0] - x, vertices[(k + 1) % n][1] - y)
+             for k, (x, y) in enumerate(vertices)]
+    twice_area = abs(sum(x * v - y * u for (x, y), (u, v) in zip(vertices, steps)))
+    b = sum(gcd(u, v) for u, v in steps)
+    i = (twice_area - b + 2) // 2
+    e = sum(u1 * v2 - v1 * u2 != 0 for (u1, v1), (u2, v2) in zip(steps, steps[1:] + steps[:1]))
+    return RefinedPoly({1: i, 0: 4 * i + b + e - 6, -1: i})
 
 
 # -- linear extensions -----------------------------------------------------------
@@ -446,8 +470,3 @@ def random_balanced_vectors(rng, max_len: int = 6, coord: int = 2) -> list[Vec]:
         # must span the plane
         if any(vs[0][0] * v[1] - vs[0][1] * v[0] != 0 for v in vs[1:]):
             return vs
-
-
-def primitive(v: Vec) -> Vec:
-    g = gcd(abs(v[0]), abs(v[1]))
-    return (v[0] // g, v[1] // g)

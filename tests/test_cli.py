@@ -152,10 +152,16 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
         code, _, err = run(capsys, "count", spec, "--engine", "floor")
         assert code == 3
 
-    # profile labels must fit a byte: refused before any count, nothing cached
-    code, out, err = run(capsys, "count", "P2:d=22", "--engine", "path")
-    assert (code, out) == (cli.EXIT_UNSUPPORTED, "")
-    assert err == "error: lattice-path engine supports at most 256 lattice points in the polygon, got 276\n"
+    # profile labels must fit a byte: refused before any count, nothing cached;
+    # --engine both runs the path engine first, so its gate refuses before
+    # the floor engine starts on 276 points
+    with monkeypatch.context() as m:
+        m.setattr(cli, "compute_G_floor", no_engine)
+        for engine in ("path", "both"):
+            code, out, err = run(capsys, "count", "P2:d=22", "--engine", engine)
+            assert (code, out) == (cli.EXIT_UNSUPPORTED, ""), engine
+            assert err == ("error: lattice-path engine supports at most 256 lattice points in "
+                           "the polygon, got 276\n"), engine
     assert not isolated_cache.exists()
     # the gate reads Pick's counts: 4.5 million points are refused, not listed
     code, out, err = run(capsys, "count", "P2:d=3000")
@@ -301,6 +307,8 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache, monkeypatch):
         entry(poly=[[0, 1]]),
         # no count has a half-integer power: y^(1/2)+y^(-1/2) is tampering
         entry(poly=[[1, "1"], [-1, "1"]]),
+        # append_cache writes the terms in descending order: G itself, reordered, is tampering
+        entry(poly=[[-2, "1"], [0, "10"], [2, "1"]]),
         # a whitespace-only line is skipped without a warning
         " \t ",
         # last, a line cut short with no newline, as a writer killed mid-line leaves it
@@ -310,15 +318,16 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache, monkeypatch):
     code, out, err = run(capsys, "count", "P2:d=3")
     assert code == 0
     assert "G: y+10+y^-1" in out
-    assert err.count("skipping corrupt cache line") == 13
+    assert err.count("skipping corrupt cache line") == 14
     assert err.count("malformed polynomial term") == 4
     assert err.count("(half-integer power)") == 1
+    assert err.count("(terms out of order)") == 1
     code, out, err = run(capsys, "count", "P2:d=3", "--genus", "1")
     assert code == 0
     assert "G: 1\n" in out
-    assert err.count("skipping corrupt cache line") == 13
+    assert err.count("skipping corrupt cache line") == 14
     # the fresh results are appended after the corrupt and blank lines, each on its own line
-    assert len(isolated_cache.read_text().splitlines()) == 16
+    assert len(isolated_cache.read_text().splitlines()) == 17
 
     def no_engine(*args, **kwargs):
         raise AssertionError("an engine ran")
@@ -394,6 +403,17 @@ def test_count_with_a_directory_as_cache_still_prints_the_count(capsys, tmp_path
     assert json.loads(out)["polynomial"] == "y+10+y^-1"
     assert err == f"warning: cache not written: [Errno 21] Is a directory: '{tmp_path}'\n"
     assert cli.load_cache(tmp_path) == {}
+
+
+def test_count_with_an_empty_cache_variable_uses_the_default_cache(capsys, tmp_path,
+                                                                    monkeypatch):
+    # an empty value is unset, not the current directory
+    monkeypatch.setenv("REFINED_COUNT_CACHE", "")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "count", "P2:d=3")
+    assert (code, err) == (0, "")
+    assert "G: y+10+y^-1\n" in out
+    assert len((tmp_path / cli.DEFAULT_CACHE).read_text().splitlines()) == 1
 
 
 def test_curve_report(capsys):

@@ -1,4 +1,5 @@
-"""Every name a module imports is read somewhere in that module."""
+"""Every name a module imports is read somewhere in that module, and every
+name the test oracles define is read by a test or by another oracle."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,33 @@ def test_no_module_imports_a_name_it_never_reads():
               if (names := unread_imports(p.read_text(encoding="utf-8")))}
     assert unread == {}
     assert unread_imports("from x import a, b as c\nimport d.e\nd.f(a)\n") == ["c"]
+
+
+def unused_definitions(source: str, imported: set[str]) -> list[str]:
+    """Module-level names that neither `imported` holds nor the module reads
+    outside their own definition (a recursive call is no use)."""
+    body = ast.parse(source).body
+    reads = [{n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+              and isinstance(n.ctx, ast.Load)} for node in body]
+    unused = []
+    for k, node in enumerate(body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        read = set().union(*reads[:k], *reads[k + 1:])
+        unused += [name for name in names if name not in read | imported]
+    return unused
+
+
+def test_every_oracle_is_used():
+    imported = {alias.name for p in sorted(TESTS.rglob("*.py"))
+                for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                for alias in node.names}
+    assert unused_definitions((TESTS / "oracles.py").read_text(encoding="utf-8"), imported) == []
+    assert unused_definitions("A = 1\ndef f(n): return f(n - 1) + A\ndef g(): pass\n",
+                              {"g"}) == ["f"]

@@ -1,8 +1,9 @@
 """Lattice-path engine: orders, enumeration, side and joint multiplicities."""
 
 import itertools
+import random
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -10,11 +11,13 @@ from refinedcount.floors import compute_G_floor
 from refinedcount.geometry import (
     BalancedDegree,
     LatticePolygon,
+    PolygonError,
     UnsupportedDegreeError,
     degree_from_polygon,
     delta_invariant,
     dual_polygon,
     genus_max,
+    h_transverse,
     p1xp1_degree,
     p2_degree,
     parse_degree,
@@ -32,7 +35,7 @@ from refinedcount.paths import (
     get_engine,
 )
 from oracles import (WELSCHINGER, gp_blowup, kontsevich, mu_whole_path, node_polynomial_1,
-                     node_polynomial_2)
+                     node_polynomial_2, one_nodal_severi)
 
 
 def test_lambda_orders():
@@ -345,6 +348,56 @@ def test_raw_severi_sums_match_the_node_polynomials(fresh_engines):
         assert _severi(p2_degree(d), genus_max(p2_degree(d)) - 2).evaluate(1) == node_polynomial_2(d)
     assert [node_polynomial_1(d) for d in range(3, 7)] == [12, 27, 48, 75]
     assert [node_polynomial_2(d) for d in range(4, 7)] == [225, 882, 2370]
+
+
+def _smooth(vertices) -> bool:
+    """Each corner's two primitive edge vectors span the lattice: |det| = 1."""
+    n = len(vertices)
+    for k, (x, y) in enumerate(vertices):
+        u = (vertices[k - 1][0] - x, vertices[k - 1][1] - y)
+        v = (vertices[(k + 1) % n][0] - x, vertices[(k + 1) % n][1] - y)
+        if abs(u[0] * v[1] - u[1] * v[0]) != gcd(*u) * gcd(*v):
+            return False
+    return True
+
+
+def test_one_nodal_severi_degrees_follow_the_universal_law(fresh_engines):
+    # a polygon with i interior points has one-nodal curves at genus i - 1
+    # (-1 for pairs of curves when i = 0); the law holds on smooth polygons.
+    # Each hull is drawn in [0,4]^2 and taken again under the shear
+    # (x, y) -> (x, x + y), which keeps i, b, e and smoothness but tilts
+    # edges past h-transverse
+    rng = random.Random(2801)
+    polygons = {}
+    for _ in range(1500):
+        points = [(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(3, 8))]
+        for drawn in (points, [(x, x + y) for x, y in points]):
+            try:
+                poly = LatticePolygon.from_points(drawn)
+            except PolygonError:
+                continue
+            if len(poly.lattice_points()) <= 16 and _smooth(poly.vertices):
+                polygons[poly.vertices] = poly
+    checked = {True: 0, False: 0}
+    for vertices, poly in polygons.items():
+        law = one_nodal_severi(list(vertices))
+        i = law.coefficient(1)
+        transverse = h_transverse(poly) is not None
+        # h-transverse polygons in two orders; the others, where only this
+        # engine counts, in all eight
+        orders = rng.sample(all_orders(), 2) if transverse else all_orders()
+        for lam in orders:
+            assert _severi(degree_from_polygon(poly), i - 1, lam) == law, (vertices, lam.spec())
+        checked[transverse] += i > 0
+    assert len(polygons) > 100 and min(checked.values()) >= 5, (len(polygons), checked)
+
+    # smoothness is the law's hypothesis: this triangle's corners (0,0) and
+    # (5,2) have |det| = 2 and 5, and its constant term is 10, not the law's 13
+    singular = [(0, 0), (5, 0), (5, 2)]
+    assert not _smooth(singular)
+    assert one_nodal_severi(singular) == RefinedPoly({1: 2, 0: 13, -1: 2})
+    deg = degree_from_polygon(LatticePolygon(tuple(singular)))
+    assert _severi(deg, 1) == RefinedPoly({1: 2, 0: 10, -1: 2})
 
 
 def test_reducible_correction_is_pinned():
