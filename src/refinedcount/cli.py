@@ -33,7 +33,6 @@ import csv
 import json
 import os
 import sys
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
@@ -53,7 +52,6 @@ from .geometry import (
     BalancedDegree,
     UnsupportedDegreeError,
     delta_invariant,
-    dual_polygon,
     genus_max,
     parse_degree,
 )
@@ -63,9 +61,8 @@ from .paths import (
     MINUS,
     PLUS,
     LambdaOrder,
-    _require_primitive,
     compute_G_path,
-    get_engine,
+    engine_for,
 )
 
 EXIT_OK = 0
@@ -93,8 +90,9 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], RefinedPoly]:
 
     The file is append-only, so the last well-formed entry for a key wins.
     A line is well-formed only if its polynomial is written exactly as
-    append_cache writes it, terms in descending order; so two entries hold
-    the same G exactly when their ``poly`` bytes are equal.
+    append_cache writes it (RefinedPoly.from_json_obj accepts no other
+    form); so two entries hold the same G exactly when their ``poly`` bytes
+    are equal.  Keys that append_cache does not write are ignored.
     A cache must never make the tool fail: anything unreadable is reported
     on stderr and ignored, and a file that cannot be read holds no entries.
     A well-formed entry written under another CACHE_VERSION, or none, is
@@ -119,8 +117,6 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], RefinedPoly]:
                     # both engines count weight-one ends only, so G has integer powers
                     if not G.has_integer_powers():
                         raise ValueError("half-integer power")
-                    if G.to_json_obj() != obj["poly"]:
-                        raise ValueError("terms out of order")
                     # only what append_cache writes: a bool or float would pass int() or ==
                     key = (obj["spec"], _json_int(obj["genus"]), obj["engine"])
                     _json_int(obj.get("version", 0))
@@ -148,7 +144,6 @@ def append_cache(path: Path, spec: str, genus: int, engine: str, G: RefinedPoly)
         "genus": genus,
         "engine": engine,
         "poly": G.to_json_obj(),
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
     try:
         with path.open("ab+") as fh:
@@ -237,10 +232,12 @@ def cmd_count(args: argparse.Namespace) -> int:
         "eval_at_minus_1": G.evaluate(-1),
     }
     table = [f"{label}: {record[key]}" for key, label in COUNT_FIELDS.items()]
+    fields = list(COUNT_FIELDS)
     if agreement is not None:
         record["agreement"] = agreement
         table.append(f"agreement: {'ok' if agreement else 'MISMATCH'}")
-    _emit(args.format, table, record, [list(COUNT_FIELDS), [record[k] for k in COUNT_FIELDS]])
+        fields.append("agreement")
+    _emit(args.format, table, record, [fields, [record[k] for k in fields]])
 
     if agreement is False or verify_failed:
         return EXIT_CHECK_FAILED
@@ -286,10 +283,7 @@ def cmd_diagrams(args: argparse.Namespace) -> int:
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    deg = _degree(args)
-    _require_primitive(deg)  # the engine takes the polygon, not the degree
-    lam = LambdaOrder.parse(args.lam)
-    engine = get_engine(dual_polygon(deg), lam)
+    engine = engine_for(_degree(args), LambdaOrder.parse(args.lam))
     for ids in engine.path_id_tuples(args.genus, engine.kappa):
         ids = bytes(ids)
         obj = {
@@ -304,9 +298,9 @@ def cmd_paths(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     """``analyze`` or ``invariance``: the subcommand's report on one count."""
     report = args.report(_degree(args), args.genus)
-    delta = "-" if report.delta is None else report.delta
+    # defined: _degree checked the genus
     table = [f"spec: {report.degree_spec}", f"genus: {report.genus}", f"G: {report.G}",
-             f"delta: {delta}"]
+             f"delta: {report.delta}"]
     table += [f"check {c['name']}: {'pass' if c['pass'] else 'FAIL'} "
               f"(expected={c['expected']} actual={c['actual']})" for c in report.checks]
     keys = ["name", "expected", "actual", "pass"]

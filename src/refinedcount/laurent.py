@@ -282,16 +282,19 @@ class RefinedPoly:
     @classmethod
     def from_json_obj(cls, obj: Iterable) -> "RefinedPoly":
         """Inverse of to_json_obj, accepting only its form: [int, decimal string]
-        pairs, so a bool or float is rejected rather than truncated."""
+        pairs, so a bool or float is rejected rather than truncated, with
+        exponents in strictly descending order, so each polynomial has one
+        JSON form.  Each term is checked before its place in the order."""
         c: dict[int, int] = {}
         for pair in obj:
             e, v = pair
             e = _json_int(e)
             if not isinstance(v, str) or not re.fullmatch(r"-?[1-9][0-9]*", v):
                 raise ValueError(f"malformed polynomial term {pair!r}")
-            if e in c:
-                raise ValueError(f"duplicate exponent {e} in polynomial JSON")
+            if c and e >= previous:
+                raise ValueError("terms out of order")
             c[e] = int(v)
+            previous = e
         return cls.from_half_units(c)
 
     @classmethod

@@ -617,9 +617,15 @@ def get_engine(poly: LatticePolygon, lam: LambdaOrder) -> PathEngine:
     return PathEngine(poly, lam)
 
 
-def _require_primitive(deg: BalancedDegree) -> None:
+def engine_for(deg: BalancedDegree, lam: LambdaOrder) -> PathEngine:
+    """The engine of deg's dual polygon in order lam; the one gate on a degree.
+
+    Raises UnsupportedDegreeError for a non-primitive degree: the engine
+    takes the polygon, which forgets the ends' multiplicities.
+    """
     if not deg.is_primitive():
         raise UnsupportedDegreeError("lattice-path engine requires primitive degree")
+    return get_engine(dual_polygon(deg), lam)
 
 
 def compute_G_path(deg: BalancedDegree, g: int, lam: LambdaOrder = DEFAULT_ORDER) -> RefinedPoly:
@@ -629,5 +635,4 @@ def compute_G_path(deg: BalancedDegree, g: int, lam: LambdaOrder = DEFAULT_ORDER
     for a negative genus, and UnsupportedDegreeError (a ValueError) for a
     non-primitive degree.
     """
-    _require_primitive(deg)
-    return RefinedPoly.from_half_units(get_engine(dual_polygon(deg), lam).count(g))
+    return RefinedPoly.from_half_units(engine_for(deg, lam).count(g))

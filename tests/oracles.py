@@ -6,12 +6,12 @@ search.  The production code must agree with these on small inputs.  The
 plane curve numbers (Kontsevich's N_d, Welschinger's W_d, Getzler's elliptic
 counts) and Göttsche-Pandharipande's rational counts on the plane blown up at
 three points come from outside tropical geometry and use nothing from either
-engine; so does `one_nodal_severi`, the universal law for one-nodal curves
-on a smooth toric surface.  `floor_sum_over_diagrams` is the floor engine's
-former count, one markings count per listed diagram, kept as the reference
-for its sweep.  `mu_whole_path` is the path engine's former side recursion,
-memoized by whole path, kept as the reference for its product over
-arc-to-arc pieces.
+engine; so do `one_nodal_severi` and `two_nodal_severi`, the universal law
+for one- and two-nodal curves on a smooth toric surface.
+`floor_sum_over_diagrams` is the floor engine's former count, one markings
+count per listed diagram, kept as the reference for its sweep.
+`mu_whole_path` is the path engine's former side recursion, memoized by
+whole path, kept as the reference for its product over arc-to-arc pieces.
 """
 
 from __future__ import annotations
@@ -121,17 +121,13 @@ def node_polynomial_2(d: int) -> int:
     return 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11) // 2
 
 
-def one_nodal_severi(vertices: list[Vec]) -> RefinedPoly:
-    """N^{Δ,1}(y) = i*y + (4i + b + e - 6) + i*y^-1 on a smooth polygon Δ.
+def _surface_numbers(vertices: list[Vec]) -> tuple[int, int, int, int]:
+    """(L², i, b, e) of a lattice polygon given by its vertices in cyclic order.
 
-    i, b and e are Δ's interior points, boundary points and edges.  This is
-    the universal law's δ = 1 term, ½(L² + LK + 2)(y + y⁻¹) + (2L² + LK -
-    K² + 10), with L² = 2·area, -LK = b and K² = 12 - e (Göttsche's
-    conjecture, refined by Göttsche-Shende, arXiv:1208.1973): one-nodal
-    curves through i + b - 2 points, reducible ones too.  i, b and e come
-    from the vertices alone, given in cyclic order: the shoelace formula, the
-    gcd of each edge's steps and Pick's theorem.  A vertex on a straight
-    angle is not a corner, so it adds no edge.
+    L² is twice the area, by the shoelace formula; b is the boundary points,
+    the gcd of each edge's steps summed; i is the interior points, by Pick's
+    theorem; e is the edges.  A vertex on a straight angle is not a corner,
+    so it adds no edge.
     """
     n = len(vertices)
     steps = [(vertices[(k + 1) % n][0] - x, vertices[(k + 1) % n][1] - y)
@@ -140,7 +136,43 @@ def one_nodal_severi(vertices: list[Vec]) -> RefinedPoly:
     b = sum(gcd(u, v) for u, v in steps)
     i = (twice_area - b + 2) // 2
     e = sum(u1 * v2 - v1 * u2 != 0 for (u1, v1), (u2, v2) in zip(steps, steps[1:] + steps[:1]))
+    return twice_area, i, b, e
+
+
+def one_nodal_severi(vertices: list[Vec]) -> RefinedPoly:
+    """N^{Δ,1}(y) = i*y + (4i + b + e - 6) + i*y^-1 on a smooth polygon Δ.
+
+    i, b and e are Δ's interior points, boundary points and edges.  This is
+    the universal law's δ = 1 term, ½(L² + LK + 2)(y + y⁻¹) + (2L² + LK -
+    K² + 10), with L² = 2·area, -LK = b and K² = 12 - e (Göttsche's
+    conjecture, refined by Göttsche-Shende, arXiv:1208.1973): one-nodal
+    curves through i + b - 2 points, reducible ones too.  i, b and e come
+    from the vertices alone (`_surface_numbers`).
+    """
+    _, i, b, e = _surface_numbers(vertices)
     return RefinedPoly({1: i, 0: 4 * i + b + e - 6, -1: i})
+
+
+def two_nodal_severi(vertices: list[Vec]) -> RefinedPoly:
+    """N^{Δ,2}(y) on a smooth polygon Δ whose edges all have lattice length >= 2.
+
+    The universal law's δ = 2 term: the δ = 2 coefficient of the generating
+    function is ½N₁² plus a linear form in (L², LK, K², 1), so
+
+        N₂ = ½N₁(y)² - (i/2)(y² + y⁻²) - 10i(y + y⁻¹) - (21/2)L² - 9·LK + ½K² - 21
+
+    with N₁ = `one_nodal_severi`, L² = 2·area, LK = -b, K² = 12 - e and i the
+    interior points: two-nodal curves through i + b - 3 points, reducible
+    ones too.  The form was fitted exactly, on fractions, to P2(2), P2(3),
+    P2(4) and P1xP1(2,2).  At y = 1 on P2(d) it is `node_polynomial_2`.  The
+    edge length is the hypothesis that L is 2-very ample (Di Rocco).
+    """
+    twice_area, i, b, e = _surface_numbers(vertices)
+    n1 = one_nodal_severi(vertices)
+    twice = (n1 * n1 - RefinedPoly({2: i, 1: 20 * i, -1: 20 * i, -2: i})
+             - 21 * twice_area + 18 * b + (12 - e) - 42)
+    # each coefficient of 2·N₂ is even: Pick gives L² = 2i + b - 2
+    return RefinedPoly.from_half_units({k: v // 2 for k, v in twice.half_unit_items()})
 
 
 # -- linear extensions -----------------------------------------------------------

@@ -93,6 +93,11 @@ def test_count_both_engines_agree(capsys):
     code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "both", "--format", "json")
     assert code == 0
     assert out.endswith('"agreement": true}\n')
+    code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "both", "--format", "csv")
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.endswith(",agreement")
+    assert row.endswith(",True")
 
 
 def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
@@ -127,7 +132,7 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
 
     with monkeypatch.context() as m:
         for name in ("compute_G_floor", "compute_G_path", "enumerate_diagrams",
-                     "get_engine", "analyze", "cross_validate"):
+                     "engine_for", "analyze", "cross_validate"):
             m.setattr(cli, name, no_engine)
         for argv in every_genus_use:
             code, out, err = run(capsys, *argv, "--genus", "2")
@@ -194,6 +199,9 @@ def test_count_writes_and_reuses_cache(capsys, isolated_cache, monkeypatch):
     assert len(lines) == 1
     entry = json.loads(lines[0])
     assert (entry["spec"], entry["genus"], entry["engine"]) == ("P2:d=3", 0, "path")
+    # only what is read back, so identical runs leave identical files
+    assert lines[0] == json.dumps({"version": 1, "spec": "P2:d=3", "genus": 0, "engine": "path",
+                                   "poly": [[2, "1"], [0, "10"], [-2, "1"]]})
 
     code, second, _ = run(capsys, "count", "P2:d=3")
     assert code == 0
@@ -236,6 +244,16 @@ def test_count_writes_and_reuses_cache(capsys, isolated_cache, monkeypatch):
     assert len(lines) == 5
     assert json.loads(lines[4])["version"] == cli.CACHE_VERSION
 
+    # a key the tool no longer writes, as older lines carry a timestamp, is ignored
+    dated = {"version": cli.CACHE_VERSION, "spec": "P2:d=4", "genus": 3, "engine": "path",
+             "poly": [[0, "99"]], "timestamp": "2000-01-01T00:00:00+00:00"}
+    with isolated_cache.open("a") as fh:
+        fh.write(json.dumps(dated) + "\n")
+    code, out, err = run(capsys, "count", "P2:d=4", "--genus", "3")
+    assert (code, err) == (0, "")
+    assert "G: 99\n" in out
+    assert len(isolated_cache.read_text().splitlines()) == 6
+
 
 def test_count_verify_cache(capsys, isolated_cache):
     run(capsys, "count", "P2:d=3")
@@ -264,7 +282,7 @@ def test_count_serves_a_cached_count_for_every_lambda_order(capsys, isolated_cac
         raise AssertionError("an engine ran")
 
     with monkeypatch.context() as m:
-        for name in ("compute_G_floor", "compute_G_path", "get_engine"):
+        for name in ("compute_G_floor", "compute_G_path", "engine_for"):
             m.setattr(cli, name, no_engine)
         assert run(capsys, "count", "P2:d=3", "--lambda", "lex:-y,+x") == (0, first, "")
     assert len(isolated_cache.read_text().splitlines()) == 1
@@ -333,7 +351,7 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache, monkeypatch):
         raise AssertionError("an engine ran")
 
     with monkeypatch.context() as m:
-        for name in ("compute_G_floor", "compute_G_path", "get_engine"):
+        for name in ("compute_G_floor", "compute_G_path", "engine_for"):
             m.setattr(cli, name, no_engine)
         code, out, _ = run(capsys, "count", "P2:d=3")
     assert code == 0 and "G: y+10+y^-1\n" in out

@@ -1,5 +1,7 @@
-"""Every name a module imports is read somewhere in that module, and every
-name the test oracles define is read by a test or by another oracle."""
+"""Every name a module imports is read somewhere in that module, every
+name the test oracles define is read by a test or by another oracle, and no
+module of the package imports a private name of another, but for the
+kernels `laurent` shares."""
 
 import ast
 from pathlib import Path
@@ -63,3 +65,29 @@ def test_every_oracle_is_used():
     assert unused_definitions((TESTS / "oracles.py").read_text(encoding="utf-8"), imported) == []
     assert unused_definitions("A = 1\ndef f(n): return f(n - 1) + A\ndef g(): pass\n",
                               {"g"}) == ["f"]
+
+
+# laurent's raw kernels and its JSON integer check are shared by design
+SHARED_PRIVATE = {"laurent._ONE", "laurent._add", "laurent._mul", "laurent._mul_quantum",
+                  "laurent._accumulate", "laurent._json_int"}
+
+
+def private_imports(source: str) -> list[str]:
+    """`module._name` for each _-prefixed name imported from a package module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("refinedcount.")):
+            module = (node.module or "").removeprefix("refinedcount.")
+            found += [f"{module}.{alias.name}" for alias in node.names
+                      if alias.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    crossing = {p.name: names for p in sorted(PACKAGE.glob("*.py"))
+                if (names := sorted(set(private_imports(p.read_text(encoding="utf-8")))
+                                    - SHARED_PRIVATE))}
+    assert crossing == {}
+    assert private_imports("from .a import _b, c\nfrom refinedcount.d import _e\n"
+                           "from __future__ import _f\nfrom os import _g\n") == ["a._b", "d._e"]

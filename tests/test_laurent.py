@@ -170,8 +170,10 @@ def test_pow():
 
 
 def test_from_json_obj_rejects_duplicate_exponents():
-    with pytest.raises(ValueError):
-        RefinedPoly.from_json_obj([[2, "1"], [2, "3"]])
+    # exponents strictly descend in the one JSON form, so a repeat is out of order too
+    for terms in ([[2, "1"], [2, "3"]], [[-2, "1"], [0, "10"], [2, "1"]]):
+        with pytest.raises(ValueError, match="^terms out of order$"):
+            RefinedPoly.from_json_obj(terms)
 
 
 def test_non_half_integer_exponent_rejected():

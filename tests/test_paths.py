@@ -35,7 +35,7 @@ from refinedcount.paths import (
     get_engine,
 )
 from oracles import (WELSCHINGER, gp_blowup, kontsevich, mu_whole_path, node_polynomial_1,
-                     node_polynomial_2, one_nodal_severi)
+                     node_polynomial_2, one_nodal_severi, two_nodal_severi)
 
 
 def test_lambda_orders():
@@ -399,6 +399,45 @@ def test_one_nodal_severi_degrees_follow_the_universal_law(fresh_engines):
     deg = degree_from_polygon(LatticePolygon(tuple(singular)))
     assert _severi(deg, 1) == RefinedPoly({1: 2, 0: 10, -1: 2})
 
+
+def _edge_lengths(vertices) -> list[int]:
+    n = len(vertices)
+    return [gcd(vertices[(k + 1) % n][0] - x, vertices[(k + 1) % n][1] - y)
+            for k, (x, y) in enumerate(vertices)]
+
+
+def test_two_nodal_severi_degrees_follow_the_universal_law(fresh_engines):
+    # two-nodal curves have genus i - 2; the law holds on a smooth polygon
+    # whose edges all have lattice length >= 2, where L is 2-very ample (Di
+    # Rocco).  The polygons of at most 21 points among P2(d), P1xP1(a, b) and
+    # the triangles of size d with corners cut by a, b and c
+    candidates = [[(0, 0), (d, 0), (0, d)] for d in range(2, 7)]
+    candidates += [[(0, 0), (a, 0), (a, b), (0, b)] for a in range(1, 5) for b in range(1, 6)]
+    for d in range(1, 7):
+        for a, b, c in itertools.product(range(d), repeat=3):
+            if max(a + b, a + c, b + c) <= d:
+                candidates.append([(a, 0), (d - b, 0), (d - b, b), (c, d - c), (0, d - c), (0, a)])
+    polygons = {}
+    for corners in candidates:
+        poly = LatticePolygon.from_points(corners)
+        if (len(poly.lattice_points()) <= 21 and _smooth(poly.vertices)
+                and min(_edge_lengths(poly.vertices)) >= 2):
+            polygons[poly.vertices] = poly
+    for vertices, poly in polygons.items():
+        deg = degree_from_polygon(poly)
+        assert _severi(deg, genus_max(deg) - 2) == two_nodal_severi(list(vertices)), vertices
+    # K² = 12 - e: triangles, quadrilaterals and hexagons; no pentagon fits in 21 points
+    assert (len(polygons), {12 - len(v) for v in polygons}) == (43, {6, 8, 9})
+
+    # 2-very ampleness is the hypothesis: the quintic's triangle with one
+    # corner cut by 1 is smooth, has an edge of length 1, and its constant
+    # term is 540, not the law's 541
+    cut = [(1, 0), (5, 0), (0, 5), (0, 1)]
+    assert _smooth(cut) and min(_edge_lengths(cut)) == 1
+    assert two_nodal_severi(cut) == RefinedPoly({2: 15, 1: 156, 0: 541, -1: 156, -2: 15})
+    deg = degree_from_polygon(LatticePolygon(tuple(cut)))
+    assert _severi(deg, genus_max(deg) - 2) == RefinedPoly({2: 15, 1: 156, 0: 540, -1: 156,
+                                                            -2: 15})
 
 def test_reducible_correction_is_pinned():
     for lam in all_orders():
