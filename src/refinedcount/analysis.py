@@ -63,6 +63,14 @@ def canonical_spec(deg: BalancedDegree) -> str:
     return deg.canonical_spec()
 
 
+def _delta(deg: BalancedDegree, g: int) -> Optional[Fraction]:
+    """delta of the degree at genus g, or None at a genus with no curves."""
+    try:
+        return delta_invariant(g, deg)
+    except ValueError:
+        return None
+
+
 def _check(name: str, expected, actual, ok: bool) -> dict:
     return {"name": name, "expected": str(expected), "actual": str(actual), "pass": bool(ok)}
 
@@ -74,10 +82,7 @@ def structural_checks(deg: BalancedDegree, g: int, G: RefinedPoly) -> InvariantR
     positivity checks hold trivially and the degree/leading checks are
     skipped because the zero polynomial has no degree.
     """
-    try:
-        delta = delta_invariant(g, deg)
-    except ValueError:
-        delta = None
+    delta = _delta(deg, g)
     symmetric = G.is_symmetric()
     nonnegative = all(v >= 0 for _, v in G.terms())
     checks = [
@@ -178,11 +183,7 @@ def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
             abs(value_m1) <= value_1 and (value_1 - value_m1) % 2 == 0,
         )
     )
-    try:
-        delta = delta_invariant(g, deg)
-    except ValueError:
-        delta = None
-    return InvariantReport(canonical_spec(deg), g, G, delta, checks)
+    return InvariantReport(canonical_spec(deg), g, G, _delta(deg, g), checks)
 
 
 def analyze(deg: BalancedDegree, g: int) -> InvariantReport:

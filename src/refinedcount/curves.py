@@ -8,9 +8,11 @@ positive integer weight, balanced at every vertex.  Everything computed here
 only on that data, and the multiplicities only on each vertex's star of
 outgoing weighted vectors.  A validated curve stores those stars, gathered in
 one pass over its edges, and its scores: validation computes each vertex's
-complex multiplicity once, to reject a degenerate vertex (three parallel
-vectors), and keeps the `CurveStats` built from them, with the degree, the
-balanced multiset of its ends' weighted vectors.  Ends that do not form a
+complex multiplicity once for both the degeneracy check (three parallel
+vectors) and the score, and keeps the `CurveStats` built from them, with the
+degree, the balanced multiset of its ends' weighted vectors.
+`vertex_real_mult` computes the multiplicity again, through Pick's identity,
+at each vertex whose weights sum to an odd number.  Ends that do not form a
 degree are rejected.  `curve_multiplicities` returns the stored record.
 
 Curve files are JSON::

@@ -26,14 +26,15 @@ floors, bottom to top.  At each floor it ends some of the elevators
 crossing the gap below, starts new ones and picks the floor's infinite
 ends, and it drops a branch once a connected piece of the floors so far has
 no elevator going up.  What a floor may start and how it may split its
-excess between ends below and above are the *per-floor rules*, and
-`_floor_choices` is their one home: the listing and the count below both
-call it.  Given the weight arriving at floor v, the ends used below and
-above and the elevators left, it yields each non-increasing tuple of
-weights v may start, with out(v) no more than the ends left below allow,
-together with the excess e and the range of ends below: floor v takes k
-ends below and k + e above, for every k that keeps both counts >= 0 and
-within the ends left, and the top floor takes every end below still
+excess between ends below and above are the *per-floor rules*.
+`_floor_parameters` builds them once per degree, as the one rule it returns
+with the degree's floors and ends, and the listing and the count below
+both call that rule.  Given the weight arriving at floor v, the ends used
+below and above and the elevators left, it yields each non-increasing
+tuple of weights v may start, with out(v) no more than the ends left below
+allow, together with the excess e and the range of ends below: floor v
+takes k ends below and k + e above, for every k that keeps both counts >= 0
+and within the ends left, and the top floor takes every end below still
 unused.  The genus prune there drops a tuple once more elevators are left
 than the floors above can start: each elevator floor u starts crosses the
 gap above u, whose weight is at most d - u * s (the ends below floors
@@ -74,8 +75,8 @@ is divided out:
 - floor v slots its downward ends among the l letters already written, in
   C(l + down, down) ways as above, starts new classes, multiplying in
   [w]^2 per elevator, and opens an up group of down + excess upward ends,
-  due at the virtual floor n + 1.  The starts and the ends come from
-  `_floor_choices`; for P2 the range of ends below is the one count -excess.
+  due at the virtual floor n + 1.  The starts and the ends come from the
+  per-floor rule; for P2 the range of ends below is the one count -excess.
 
 A *gap state* keeps only what the rest of the sweep can see: each crossing
 class as (weight, m, r), grouped by the connected component of the floors
@@ -94,7 +95,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .geometry import BalancedDegree, UnsupportedDegreeError
 from .laurent import _ONE, RefinedPoly, _accumulate, _mul_quantum
@@ -145,11 +146,18 @@ def classify_family(deg: BalancedDegree) -> Optional[tuple]:
     return None
 
 
-def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[str, int, int, int, int]:
-    """(family name, floors, ends below, ends above, divergence s) of the degree.
+def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[str, int, int, int, Callable]:
+    """(family name, floors n, ends below d, ends above, per-floor rule) of the degree.
 
+    The floor engine's one door: both floor loops read the degree through it.
     Raises UnsupportedDegreeError outside the two families and ValueError
-    for a negative genus.
+    for a negative genus.  The rule, rules(v, arriving, downs, used_up, left),
+    is what floor v may do given what the floors below it did: floor v has
+    `arriving` weight ending on it, the floors below used `downs` ends below
+    and `used_up` above, and `left` elevators are still to start.  It yields
+    (started, e, ends): a non-increasing tuple of weights floor v starts, its
+    excess e = in(v) - out(v) - s, and the range of its ends below; with k
+    ends below it takes k + e above.
     """
     family = classify_family(deg)
     if family is None:
@@ -159,8 +167,21 @@ def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[str, int, int, int, 
     if g < 0:
         raise ValueError(f"no floor diagrams: genus {g} is negative")
     counts = Counter(deg.vectors)
-    n_floors, d, up_ends = counts[(-1, 0)], counts[(0, -1)], counts[(0, 1)]
-    return family[0], n_floors, d, up_ends, (d - up_ends) // n_floors  # s is exact
+    n, d, up_ends = counts[(-1, 0)], counts[(0, -1)], counts[(0, 1)]
+    sink = (d - up_ends) // n  # s is exact
+    room = _room(n, d, sink)
+
+    def rules(v: int, arriving: int, downs: int, used_up: int, left: int) -> Iterator[tuple]:
+        most = d - downs + arriving - sink  # largest out(v) with ends below <= d
+        for started in _weight_tuples(most, left if v < n else 0, most):
+            if left - len(started) > room[v]:
+                continue  # the genus prune
+            e = arriving - sum(started) - sink
+            # the top floor takes every end still unused
+            low = max(0, -e, d - downs if v == n else 0)
+            yield started, e, range(low, min(d - downs, up_ends - used_up - e) + 1)
+
+    return family[0], n, d, up_ends, rules
 
 
 def _room(n: int, d: int, sink: int) -> list[int]:
@@ -183,8 +204,7 @@ def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
     depth-first loop of the module docstring, with one suspended generator
     per floor of the current branch.
     """
-    family, n, d, up_ends, sink = _floor_parameters(deg, g)
-    room = _room(n, d, sink)
+    family, n, _, _, rules = _floor_parameters(deg, g)
     out: list[FloorDiagram] = []
 
     def grow(v, crossing, comp, done, down, up, left):
@@ -208,8 +228,7 @@ def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
             comp_v = tuple(label if c in merged else c for c in comp) + (label,)
             done_v = done + [(lo, v, w) for lo, w in ended]
             arriving = sum(w for _, w in ended)
-            for started, e, ends in _floor_choices(v, n, arriving, sum(down), sum(up), left,
-                                                   d, sink, up_ends, room):
+            for started, e, ends in rules(v, arriving, sum(down), sum(up), left):
                 nxt = passing + [(v, w) for w in started]
                 # every component below floor v + 1 needs an elevator going up
                 if v < n and not set(comp_v) <= {comp_v[lo - 1] for lo, _ in nxt}:
@@ -227,28 +246,6 @@ def enumerate_diagrams(deg: BalancedDegree, g: int) -> list[FloorDiagram]:
             stack.pop()
     out.sort(key=lambda D: (D.elevators, D.infinite_down, D.infinite_up))
     return out
-
-
-def _floor_choices(
-    v: int, n: int, arriving: int, downs: int, used_up: int, left: int,
-    d: int, sink: int, up_ends: int, room: list[int],
-) -> Iterator[tuple[tuple[int, ...], int, range]]:
-    """What floor v may do, given what the floors below it did.
-
-    Floor v has `arriving` weight ending on it, the floors below used
-    `downs` ends below and `used_up` above, and `left` elevators are still
-    to start.  Yields (started, e, ends): a non-increasing tuple of weights
-    floor v starts, its excess e = in(v) - out(v) - sink, and the range of
-    its ends below; with k ends below it takes k + e above.
-    """
-    most = d - downs + arriving - sink  # largest out(v) with ends below <= d
-    for started in _weight_tuples(most, left if v < n else 0, most):
-        if left - len(started) > room[v]:
-            continue  # the genus prune
-        e = arriving - sum(started) - sink
-        # the top floor takes every end still unused
-        low = max(0, -e, d - downs if v == n else 0)
-        yield started, e, range(low, min(d - downs, up_ends - used_up - e) + 1)
 
 
 def _weight_tuples(max_sum: int, max_len: int, max_w: int) -> Iterator[tuple[int, ...]]:
@@ -344,9 +341,8 @@ def compute_G_floor(deg: BalancedDegree, g: int) -> RefinedPoly:
     (components, up groups, ends used below, ends used above, elevators
     left) to its half-unit dict.  No diagram is built.
     """
-    _, n, d, up_ends, sink = _floor_parameters(deg, g)
+    _, n, d, up_ends, rules = _floor_parameters(deg, g)
     n_elevators = g + n - 1
-    room = _room(n, d, sink)
     starts: dict[tuple[int, ...], tuple[list, dict[int, int]]] = {}
     states = {((), (), 0, 0, n_elevators): _ONE}
     for v in range(1, n + 1):
@@ -370,8 +366,7 @@ def compute_G_floor(deg: BalancedDegree, g: int) -> RefinedPoly:
                 kept = [comp for i, comp in enumerate(comps) if i not in merged]
                 joined = [(w, m - k, r) for (i, (w, m, r)), k in zip(classes, ks)
                           if i in merged and m > k]
-                for started, e, ends in _floor_choices(v, n, arriving, downs, used_up, left,
-                                                       d, sink, up_ends, room):
+                for started, e, ends in rules(v, arriving, downs, used_up, left):
                     if started not in starts:
                         starts[started] = ([(w, k, k) for w, k in Counter(started).items()],
                                            _weights_multiplicity(started))

@@ -65,9 +65,11 @@ candidate parent is kept only if its first poking corner is the moved point
 (so resolving that corner gives the child back).  One breadth-first pass,
 grown one path length at a time and kept, serves every genus.  It runs on
 one side only, the selective side, the one whose arc has more lattice
-points (plus on a tie): a longer arc leaves less room for a completed
-deformation, so that side's live set is the small one (on P2(5), in every
-order, 1833 live paths of length kappa against 20950 on the other side).
+points (plus on a tie).  That choice is a heuristic: a longer arc leaves
+less room for a completed deformation, so that side's live set is usually
+the smaller one (on P2(5), in every order, 1833 live paths of length kappa
+against 20950 on the other side), but not always (on the hexagon
+(0,0),(2,0),(3,1),(3,2),(1,3),(0,1) in lex:+x,-y at genus 0, 85 against 81).
 The other side's live paths are never listed.
 A count visits only its live paths of the wanted length, reads the other
 side's mu first and the selective side's only for paths live on both.
@@ -275,7 +277,6 @@ class PathEngine:
     """Recursive multiplicity evaluator bound to one (polygon, lambda) pair."""
 
     def __init__(self, poly: LatticePolygon, lam: LambdaOrder):
-        self.poly = poly
         self.lam = lam
         # Pick's counts gate the polygon before any lattice point is listed
         self.interior_count, self.kappa, _ = lattice_counts(poly)
@@ -518,8 +519,7 @@ class PathEngine:
                     if len(ends) == 2:
                         parts.append((sub, 2, None))
                     continue
-                engine = get_engine(dual_polygon(BalancedDegree(ends)), self.lam)
-                parts.append((sub, len(ends), engine))
+                parts.append((sub, len(ends), engine_for(BalancedDegree(ends), self.lam)))
             self._parts = parts
         return self._parts
 
@@ -619,6 +619,9 @@ def get_engine(poly: LatticePolygon, lam: LambdaOrder) -> PathEngine:
 
 def engine_for(deg: BalancedDegree, lam: LambdaOrder) -> PathEngine:
     """The engine of deg's dual polygon in order lam; the one gate on a degree.
+
+    Every engine the package builds comes through here, the sub-degree
+    engines of the peel included.
 
     Raises UnsupportedDegreeError for a non-primitive degree: the engine
     takes the polygon, which forgets the ends' multiplicities.

@@ -39,7 +39,9 @@ from refinedcount.geometry import (
 from refinedcount.laurent import RefinedPoly, quantum_integer
 from refinedcount.paths import all_orders, compute_G_path
 from oracles import (
+    WELSCHINGER,
     cyclic_orders_brute,
+    kontsevich,
     markings_count_brute,
     poset_size,
     random_balanced_vectors,
@@ -202,6 +204,7 @@ def test_criterion_7_oracle_suites():
     nu_checked = 0
     sweep = [p2_degree(d) for d in (2, 3, 4)]
     sweep += [p1xp1_degree(d, r) for d in (1, 2) for r in (1, 2)]
+    sweep += [p1xp1_degree(2, 3), p1xp1_degree(3, 2)]
     for deg in sweep:
         for g in range(genus_max(deg) + 1):
             for D in enumerate_diagrams(deg, g):
@@ -239,6 +242,9 @@ def test_criterion_7_oracle_suites():
         assert pi_count(BalancedDegree(vectors)) == cyclic_orders_brute(vectors), (
             vectors
         )
+
+    # The rational-count oracles at their published values for d = 7.
+    assert (kontsevich(7), WELSCHINGER[6]) == (14616808192, 792731520)
     _pass(7, f"oracles: {nu_checked} markings, {pick_checked} stars, 50 degrees")
 
 

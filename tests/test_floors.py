@@ -28,9 +28,7 @@ from oracles import (
     floor_diagrams_brute,
     floor_sum_over_diagrams,
     kontsevich,
-    markings_count_brute,
     markings_count_downset,
-    poset_size,
     random_balanced_vectors,
 )
 
@@ -137,7 +135,6 @@ def test_rational_counts_match_kontsevich_and_welschinger():
     for d in range(1, 8):
         G = compute_G_floor(p2_degree(d), 0)
         assert (G.evaluate(1), G.evaluate(-1)) == (kontsevich(d), WELSCHINGER[d - 1])
-    assert (kontsevich(7), WELSCHINGER[6]) == (14616808192, 792731520)
 
 
 def test_elliptic_counts_match_getzler():
@@ -196,20 +193,6 @@ def test_genus_is_elevator_surplus():
         for D in enumerate_diagrams(p1xp1_degree(2, 2), g):
             assert D.genus() == g
             assert markings_count(D) >= 1
-
-
-def test_markings_count_matches_brute_force():
-    checked = 0
-    for deg in (
-        p2_degree(2), p2_degree(3), p1xp1_degree(1, 2), p1xp1_degree(2, 2),
-        p1xp1_degree(2, 3), p1xp1_degree(3, 2),
-    ):
-        for g in range(genus_max(deg) + 1):
-            for D in enumerate_diagrams(deg, g):
-                if poset_size(D) <= 9:
-                    assert markings_count(D) == markings_count_brute(D)
-                    checked += 1
-    assert checked >= 10
 
 
 def test_markings_count_matches_downset_reference():

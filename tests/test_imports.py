@@ -1,9 +1,13 @@
 """Every name a module imports is read somewhere in that module, every
-name the test oracles define is read by a test or by another oracle, and no
+name the test oracles define is read by a test or by another oracle, no
 module of the package imports a private name of another, but for the
-kernels `laurent` shares."""
+kernels `laurent` shares, and every private name the package's docs
+name exists."""
 
 import ast
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import refinedcount
@@ -91,3 +95,43 @@ def test_no_module_imports_a_private_name_of_another():
     assert crossing == {}
     assert private_imports("from .a import _b, c\nfrom refinedcount.d import _e\n"
                            "from __future__ import _f\nfrom os import _g\n") == ["a._b", "d._e"]
+
+
+def defined_names(source: str) -> set[str]:
+    """Module-level names and class attributes."""
+    body = ast.parse(source).body
+    names = set()
+    for node in body + [n for c in body if isinstance(c, ast.ClassDef) for n in c.body]:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return names
+
+
+def doc_text(source: str) -> str:
+    """The docstrings and comments of a module."""
+    docs = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))]
+    docs += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+             if tok.type == tokenize.COMMENT]
+    return "\n".join(docs)
+
+
+def named_private(text: str) -> set[str]:
+    """Each _-prefixed name that opens a backticked span, after any `module.`."""
+    return {name for name in re.findall(r"`(?:\w+\.)*(_\w+)[^`\n]*`", text)
+            if not name.startswith("__")}
+
+
+def test_docs_name_only_private_names_that_exist():
+    # ROADMAP.md and CHANGES.md record history, so they may name what is gone
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
+    defined = set().union(*map(defined_names, sources))
+    named = set().union(*(named_private(doc_text(s)) for s in sources))
+    named |= named_private((TESTS.parent / "README.md").read_text(encoding="utf-8"))
+    assert named and named - defined == set()
+    assert named_private("`_a`'s `m._b(x)` `__init__.py` `c` _d") == {"_a", "_b"}
+    assert defined_names("_A = 1\nclass C:\n    _b = 2\n    def f(self):\n"
+                         "        self._c = _d = 3\n") == {"_A", "C", "_b", "f"}

@@ -244,10 +244,14 @@ def test_side_profiles_partition_the_classical_multiplicity(lam):
                 assert total == mu
 
 
+# the last four polygons are not h-transverse
 @pytest.mark.parametrize("spec", ["P2:d=1", "P2:d=2", "P2:d=3", "P2:d=4", "P1xP1:d=2,r=3",
-                                  "P1xP1:d=3,r=2", "P1xP1:d=3,r=3"])
+                                  "P1xP1:d=3,r=2", "P1xP1:d=3,r=3", "polygon:(0,0),(3,1),(1,3)",
+                                  "polygon:(0,0),(2,0),(3,1),(3,2),(1,3),(0,1)",
+                                  "polygon:(0,0),(3,1),(4,3),(1,2)", "polygon:(0,0),(4,1),(2,3)"])
 def test_backward_live_paths_equal_the_forward_ones(spec):
     deg = parse_degree(spec)
+    h_shaped = h_transverse(dual_polygon(deg)) is not None
     for lam in all_orders():
         engine = PathEngine(dual_polygon(deg), lam)
         selective = engine._selective
@@ -258,10 +262,15 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
                     for side in (MINUS, PLUS)}
             # the backward pass lists exactly the selective side's live paths
             assert sorted(engine._level(deg.kappa + g)) == live[selective]
-            # the longer arc's side is never the larger live set
-            assert len(live[selective]) <= len(live[other])
+            # on these h-transverse shapes the longer arc's side is never the
+            # larger live set; off them the choice is only a heuristic
+            if h_shaped:
+                assert len(live[selective]) <= len(live[other])
+            if (spec, lam.spec(), g) == ("polygon:(0,0),(2,0),(3,1),(3,2),(1,3),(0,1)", "lex:+x,-y", 0):
+                assert (len(live[selective]), len(live[other])) == (85, 81)
             # every tuple off the live sets has no multiplicity, and the live
-            # pairs alone give the count
+            # pairs alone give the count: the splice decides irreducibility
+            # by b1 = g, the count peels reducible curves off the Severi sum
             both = set(live[MINUS]) & set(live[PLUS])
             total: dict[int, int] = {}
             for ids in tuples:
