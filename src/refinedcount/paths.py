@@ -2,10 +2,13 @@
 
 Independent of the floor-diagram engine: for a primitive degree, the count
 G(g, deg) comes from a sum over lattice paths in the dual polygon.  Fix a
-total order lambda on lattice points (lexicographic on a signed axis pair,
-standing in for a linear functional of irrational slope).  A path is a lambda-increasing
-sequence of kappa+g points of the polygon from the lambda-minimal vertex p to
-the lambda-maximal vertex q; since lambda is total, a path is just a point
+total order lambda on lattice points by two integer linear functionals, the
+second breaking the ties of the first (`LambdaOrder`: each a signed axis, on
+different axes).  On a bounded polygon this is the order of the one
+functional first + eps * then for a small eps > 0, injective on the lattice
+points, as the count asks.  A path is a lambda-increasing sequence of
+kappa+g points of the polygon from the lambda-minimal vertex p to the
+lambda-maximal vertex q; since lambda is total, a path is just a point
 subset, so enumeration is binomial.
 
 Each side of the path (plus = left of the oriented chord p->q, minus =
@@ -133,58 +136,51 @@ from .laurent import _ONE, RefinedPoly, _accumulate, _add, _mul, _mul_quantum
 PLUS = "plus"
 MINUS = "minus"
 
+# the four signed axes, each as the linear functional it stands for
+_AXES = {"+x": (1, 0), "-x": (-1, 0), "+y": (0, 1), "-y": (0, -1)}
+_AXIS_NAMES = {v: k for k, v in _AXES.items()}
 # `lex:` and two signed axes; which axes they are is checked after the match
-_LEX_RE = re.compile(r"lex:([+-])([^,]*),([+-])([^,]*)")
+_LEX_RE = re.compile(r"lex:([+-][^,]*),([+-][^,]*)")
 
 @dataclass(frozen=True)
 class LambdaOrder:
-    """Total order on lattice points: signed primary axis, signed tie-break.
+    """Total order on lattice points: a linear functional with a linear tie-break.
 
-    `lex:+x,+y` compares x first (ascending), breaking ties by y; the seven
-    other sign/axis combinations give the other generic orders.
+    `key(p)` is `(first . p, then . p)`, compared lexicographically.  Both
+    functionals are signed axes on different axes: `lex:+x,-y` compares x
+    ascending, breaking ties by y descending; `all_orders` gives the eight.
     """
 
-    primary: str  # "x" or "y"
-    primary_sign: int
-    tie_sign: int
+    first: Vec
+    then: Vec
 
     def __post_init__(self):
-        if self.primary not in ("x", "y") or self.primary_sign not in (1, -1) or self.tie_sign not in (1, -1):
+        if self.first not in _AXIS_NAMES or self.then not in _AXIS_NAMES or cross(self.first, self.then) == 0:
             raise ValueError(f"invalid lambda order {self!r}")
 
-    def key(self, point: Vec):
-        x, y = point
-        if self.primary == "x":
-            return (self.primary_sign * x, self.tie_sign * y)
-        return (self.primary_sign * y, self.tie_sign * x)
+    def key(self, point: Vec) -> tuple[int, int]:
+        (a, b), (c, d), (x, y) = self.first, self.then, point
+        return a * x + b * y, c * x + d * y
 
     def spec(self) -> str:
-        ps = "+" if self.primary_sign > 0 else "-"
-        ts = "+" if self.tie_sign > 0 else "-"
-        tie_axis = "y" if self.primary == "x" else "x"
-        return f"lex:{ps}{self.primary},{ts}{tie_axis}"
+        return f"lex:{_AXIS_NAMES[self.first]},{_AXIS_NAMES[self.then]}"
 
     @classmethod
     def parse(cls, spec: str) -> "LambdaOrder":
         m = _LEX_RE.fullmatch(spec.strip())
         if m is None:
             raise ValueError(f"unrecognised lambda order {spec!r}")
-        p_sign, p_axis, t_sign, t_axis = m.groups()
-        if {p_axis, t_axis} != {"x", "y"}:
+        first, then = m.groups()
+        if {first[1:], then[1:]} != {"x", "y"}:
             raise ValueError(f"lambda order must use both axes, got {spec!r}")
-        return cls(p_axis, 1 if p_sign == "+" else -1, 1 if t_sign == "+" else -1)
+        return cls(_AXES[first], _AXES[then])
 
 
-DEFAULT_ORDER = LambdaOrder("x", 1, 1)
+DEFAULT_ORDER = LambdaOrder(_AXES["+x"], _AXES["+y"])
 
 
 def all_orders() -> list[LambdaOrder]:
-    return [
-        LambdaOrder(axis, ps, ts)
-        for axis in ("x", "y")
-        for ps in (1, -1)
-        for ts in (1, -1)
-    ]
+    return [LambdaOrder(f, t) for f in _AXES.values() for t in _AXES.values() if cross(f, t)]
 
 
 # -- per-side connectivity profiles ------------------------------------------

@@ -21,6 +21,7 @@ from refinedcount.geometry import (
     p1xp1_degree,
     p2_degree,
     parse_degree,
+    pi_count,
 )
 from refinedcount import paths
 from refinedcount.laurent import RefinedPoly
@@ -45,7 +46,11 @@ def test_lambda_orders():
     assert len({o.spec() for o in orders}) == 8
     for o in orders:
         assert LambdaOrder.parse(o.spec()) == o
-    assert LambdaOrder.parse("lex:-y,+x") == LambdaOrder("y", -1, 1)
+    # the sequence is part of the contract: seeded tests sample from it
+    assert [o.spec() for o in orders] == [
+        "lex:+x,+y", "lex:+x,-y", "lex:-x,+y", "lex:-x,-y",
+        "lex:+y,+x", "lex:+y,-x", "lex:-y,+x", "lex:-y,-x"]
+    assert LambdaOrder.parse("lex:-y,+x") == LambdaOrder((0, -1), (1, 0))
 
 
 def test_lambda_order_rejects_bad_specs():
@@ -57,8 +62,10 @@ def test_lambda_order_rejects_bad_specs():
         with pytest.raises(ValueError, match="^lambda order must use both axes"):
             LambdaOrder.parse(bad)
     assert LambdaOrder.parse(" lex:+x,+y ") == DEFAULT_ORDER
-    with pytest.raises(ValueError):
-        LambdaOrder("z", 1, 1)
+    # each functional a signed axis, the two on different axes
+    for first, then in (((0, 1), (0, 1)), ((1, 0), (2, 0)), ((1, 0), (-1, 0)), ((1, 1), (0, 1))):
+        with pytest.raises(ValueError, match="^invalid lambda order"):
+            LambdaOrder(first, then)
 
 
 def test_lambda_key_orders_points():
@@ -407,6 +414,37 @@ def test_one_nodal_severi_degrees_follow_the_universal_law(fresh_engines):
     assert one_nodal_severi(singular) == RefinedPoly({1: 2, 0: 13, -1: 2})
     deg = degree_from_polygon(LatticePolygon(tuple(singular)))
     assert _severi(deg, 1) == RefinedPoly({1: 2, 0: 10, -1: 2})
+
+
+def test_random_polygons_obey_the_invariance_theorem(fresh_engines):
+    # Itenberg-Mikhalkin: G does not depend on the points, for every lattice
+    # polygon, so the eight orders give one polynomial at every genus; most
+    # hulls drawn in [0,5]^2 are not h-transverse, where no other engine counts
+    rng = random.Random(3101)
+    polygons = {}
+    for _ in range(40):
+        points = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(3, 7))]
+        try:
+            poly = LatticePolygon.from_points(points)
+        except PolygonError:
+            continue
+        if len(poly.lattice_points()) <= 16:
+            polygons[poly.vertices] = poly
+    transverse = sum(h_transverse(poly) is not None for poly in polygons.values())
+    assert len(polygons) >= 25 and len(polygons) - transverse >= 20, (len(polygons), transverse)
+    for vertices, poly in polygons.items():
+        deg = degree_from_polygon(poly)
+        assert pi_count(deg) == 1
+        for g in range(genus_max(deg) + 1):
+            G, *others = (compute_G_path(deg, g, lam) for lam in all_orders())
+            assert others == [G] * 7, (vertices, g)
+            delta = delta_invariant(g, deg)
+            assert G.is_symmetric(), (vertices, g)
+            assert all(v > 0 for _, v in G.half_unit_items()), (vertices, g)
+            assert G.degree() == delta, (vertices, g)
+            assert G.coefficient(delta) == comb(g + int(delta), g), (vertices, g)
+            at_1, at_minus_1 = G.evaluate(1), G.evaluate(-1)
+            assert abs(at_minus_1) <= at_1 and (at_1 - at_minus_1) % 2 == 0, (vertices, g)
 
 
 def _edge_lengths(vertices) -> list[int]:
