@@ -89,10 +89,13 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], RefinedPoly]:
     """Map (canonical spec, genus, engine) -> newest entry's G; corrupt lines are skipped.
 
     The file is append-only, so the last well-formed entry for a key wins.
-    A line is well-formed only if its polynomial is written exactly as
-    append_cache writes it (RefinedPoly.from_json_obj accepts no other
-    form); so two entries hold the same G exactly when their ``poly`` bytes
-    are equal.  Keys that append_cache does not write are ignored.
+    It is read as the bytes append_cache writes: one JSON object per line,
+    in strict UTF-8, so a line that is not UTF-8 is corrupt.  A line is
+    well-formed only if its polynomial is written exactly as append_cache
+    writes it (RefinedPoly.from_json_obj keeps terms only if to_json_obj
+    writes them back); so two entries hold the same G exactly when their
+    ``poly`` bytes are equal.  Keys that append_cache does not write are
+    ignored.
     A cache must never make the tool fail: anything unreadable is reported
     on stderr and ignored, and a file that cannot be read holds no entries.
     A well-formed entry written under another CACHE_VERSION, or none, is
@@ -102,17 +105,13 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], RefinedPoly]:
     entries: dict[tuple[str, int, str], RefinedPoly] = {}
     if not path.is_file():
         return entries
-    # a byte that is not UTF-8 decodes to a lone surrogate, which fails to
-    # encode inside the try below, so its line is reported as corrupt
     try:
-        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
+        with path.open("rb") as fh:
+            for lineno, line in enumerate(map(bytes.strip, fh), start=1):
                 if not line:
                     continue
                 try:
-                    line.encode("utf-8")
-                    obj = json.loads(line)
+                    obj = json.loads(line.decode())
                     G = RefinedPoly.from_json_obj(obj["poly"])
                     # both engines count weight-one ends only, so G has integer powers
                     if not G.has_integer_powers():

@@ -248,14 +248,19 @@ class CurveCombinatorics:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "CurveCombinatorics":
+        """Unpack the file's layout: its keys, ``"inf"`` (not null) for no
+        head and a two-item ``dir``.  A value that is not an integer, a bool
+        or float among them, is refused by validation, at the connectivity
+        or germ stage, like every other invariant."""
         try:
-            vids = [_json_int(v["id"]) for v in obj["vertices"]]
+            vids = [v["id"] for v in obj["vertices"]]
             edges = []
             for rec in obj["edges"]:
-                head = rec["to"]
-                head = None if head == "inf" else _json_int(head)
-                dx, dy = map(_json_int, rec["dir"])
-                edges.append(CurveEdge(_json_int(rec["from"]), head, (dx, dy), _json_int(rec["weight"])))
+                if rec["to"] is None:
+                    raise ValueError('"to" is null, not a vertex id or "inf"')
+                head = None if rec["to"] == "inf" else rec["to"]
+                dx, dy = rec["dir"]
+                edges.append(CurveEdge(rec["from"], head, (dx, dy), rec["weight"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed curve JSON: {exc}") from exc
         return cls(vids, edges)

@@ -25,7 +25,7 @@ the zero test.
 from __future__ import annotations
 
 import json
-import re
+from contextlib import suppress
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -281,21 +281,18 @@ class RefinedPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable) -> "RefinedPoly":
-        """Inverse of to_json_obj, accepting only its form: [int, decimal string]
-        pairs, so a bool or float is rejected rather than truncated, with
-        exponents in strictly descending order, so each polynomial has one
-        JSON form.  Each term is checked before its place in the order."""
-        c: dict[int, int] = {}
-        for pair in obj:
-            e, v = pair
-            e = _json_int(e)
-            if not isinstance(v, str) or not re.fullmatch(r"-?[1-9][0-9]*", v):
-                raise ValueError(f"malformed polynomial term {pair!r}")
-            if c and e >= previous:
-                raise ValueError("terms out of order")
-            c[e] = int(v)
-            previous = e
-        return cls.from_half_units(c)
+        """Inverse of to_json_obj, accepting exactly its output: the terms are
+        read (each exponent must be a JSON integer, so a bool or float is
+        rejected rather than truncated), and the polynomial they give is kept
+        only if to_json_obj writes those same terms back.  So each polynomial
+        has one JSON form: exponents strictly descending, each coefficient
+        nonzero and written as str(int) writes it."""
+        terms = [[_json_int(e), v] for e, v in obj]
+        with suppress(TypeError, ValueError):
+            poly = cls.from_half_units({e: int(v) for e, v in terms})
+            if poly.to_json_obj() == terms:
+                return poly
+        raise ValueError("polynomial terms not in canonical form")
 
     @classmethod
     def from_json(cls, text: str) -> "RefinedPoly":

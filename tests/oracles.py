@@ -6,8 +6,9 @@ search.  The production code must agree with these on small inputs.  The
 plane curve numbers (Kontsevich's N_d, Welschinger's W_d, Getzler's elliptic
 counts) and Göttsche-Pandharipande's rational counts on the plane blown up at
 three points come from outside tropical geometry and use nothing from either
-engine; so do `one_nodal_severi` and `two_nodal_severi`, the universal law
-for one- and two-nodal curves on a smooth toric surface.
+engine; so do `one_nodal_severi`, `two_nodal_severi` and
+`three_nodal_severi`, the universal law for one-, two- and three-nodal
+curves on a smooth toric surface.
 `floor_sum_over_diagrams` is the floor engine's former count, one markings
 count per listed diagram, kept as the reference for its sweep.
 `mu_whole_path` is the path engine's former side recursion, memoized by
@@ -173,6 +174,43 @@ def two_nodal_severi(vertices: list[Vec]) -> RefinedPoly:
              - 21 * twice_area + 18 * b + (12 - e) - 42)
     # each coefficient of 2·N₂ is even: Pick gives L² = 2i + b - 2
     return RefinedPoly.from_half_units({k: v // 2 for k, v in twice.half_unit_items()})
+
+
+def node_polynomial_3(d: int) -> int:
+    """N^{d,3}: three-nodal plane curves of degree d through d(d+3)/2 - 3 points.
+
+    Kleiman-Piene's node polynomial (9d⁶ - 54d⁵ + 9d⁴ + 423d³ - 458d² - 829d +
+    1050)/2, reducible curves included; the numerator is always even.
+    """
+    return (9 * d ** 6 - 54 * d ** 5 + 9 * d ** 4 + 423 * d ** 3 - 458 * d * d - 829 * d
+            + 1050) // 2
+
+
+def three_nodal_severi(vertices: list[Vec]) -> RefinedPoly:
+    """N^{Δ,3}(y) on a smooth polygon Δ whose edges all have lattice length >= 3.
+
+    The universal law's δ = 3 term: the δ = 3 coefficient of the generating
+    function's logarithm is a form f₃ linear in (L², LK, K², 1), so
+
+        N₃ = N₁N₂ - N₁³/3 + f₃,  with 6f₃ =
+            (L² + LK + 2)(y³ + y⁻³) + (54L² + 66LK + 12K² + 60)(y² + y⁻²)
+            + (345L² + 399LK + 60K² + 426)(y + y⁻¹) + (580L² + 644LK + 94K² + 680)
+
+    with N₁ = `one_nodal_severi`, N₂ = `two_nodal_severi`, L² = 2·area,
+    LK = -b and K² = 12 - e: three-nodal curves through i + b - 4 points,
+    reducible ones too.  The form was fitted exactly, on fractions, to P2(4),
+    P2(5), P2(6) and P1xP1(3,3).  At y = 1 on P2(d) it is `node_polynomial_3`.
+    The edge length is the hypothesis that L is 3-very ample.
+    """
+    twice_area, _, b, e = _surface_numbers(vertices)
+    n1, n2 = one_nodal_severi(vertices), two_nodal_severi(vertices)
+    l2, lk, k2 = twice_area, -b, 12 - e
+    c3, c2 = l2 + lk + 2, 54 * l2 + 66 * lk + 12 * k2 + 60
+    c1, c0 = 345 * l2 + 399 * lk + 60 * k2 + 426, 580 * l2 + 644 * lk + 94 * k2 + 680
+    six_f3 = RefinedPoly({3: c3, 2: c2, 1: c1, 0: c0, -1: c1, -2: c2, -3: c3})
+    six = 6 * n1 * n2 - 2 * n1 ** 3 + six_f3
+    assert all(v % 6 == 0 for _, v in six.half_unit_items()), vertices
+    return RefinedPoly.from_half_units({k: v // 6 for k, v in six.half_unit_items()})
 
 
 # -- linear extensions -----------------------------------------------------------

@@ -312,8 +312,9 @@ def test_from_json_rejects_malformed_input():
     obj = json.loads((DATA_DIR / "delta3_weight2_edge.json").read_text())
     for bad in (2.9, True, 2.0):
         obj["edges"][0]["weight"] = bad
-        with pytest.raises(ValueError, match="malformed curve JSON"):
+        with pytest.raises(CurveValidationError, match="is not an integer") as exc:
             CurveCombinatorics.from_json_obj(obj)
+        assert exc.value.stage == "germ"
 
 
 def test_fixture_expected_values():

@@ -172,8 +172,22 @@ def test_pow():
 def test_from_json_obj_rejects_duplicate_exponents():
     # exponents strictly descend in the one JSON form, so a repeat is out of order too
     for terms in ([[2, "1"], [2, "3"]], [[-2, "1"], [0, "10"], [2, "1"]]):
-        with pytest.raises(ValueError, match="^terms out of order$"):
+        with pytest.raises(ValueError, match="^polynomial terms not in canonical form$"):
             RefinedPoly.from_json_obj(terms)
+
+
+@pytest.mark.parametrize("term", [
+    [2, " 1"], [2, "1 "], [2, "1_0"], [2, "\u0661"], [2, "-0"], [2, "01"], [2, "+1"], [2, "0"],
+    [2, 1], [2, None], [2, "1", "1"], [True, "1"], [2.0, "1"],
+], ids=repr)
+def test_from_json_obj_accepts_only_what_to_json_obj_writes(term):
+    # each near miss is one that int() or == alone would let through
+    terms = G04().to_json_obj()
+    for given in (terms, [tuple(t) for t in terms], (t for t in terms)):
+        assert RefinedPoly.from_json_obj(given) == G04()
+    terms[2] = term
+    with pytest.raises(ValueError):
+        RefinedPoly.from_json_obj(terms)
 
 
 def test_non_half_integer_exponent_rejected():

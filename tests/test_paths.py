@@ -36,7 +36,8 @@ from refinedcount.paths import (
     get_engine,
 )
 from oracles import (WELSCHINGER, gp_blowup, kontsevich, mu_whole_path, node_polynomial_1,
-                     node_polynomial_2, one_nodal_severi, two_nodal_severi)
+                     node_polynomial_2, node_polynomial_3, one_nodal_severi, three_nodal_severi,
+                     two_nodal_severi)
 
 
 def test_lambda_orders():
@@ -485,6 +486,45 @@ def test_two_nodal_severi_degrees_follow_the_universal_law(fresh_engines):
     deg = degree_from_polygon(LatticePolygon(tuple(cut)))
     assert _severi(deg, genus_max(deg) - 2) == RefinedPoly({2: 15, 1: 156, 0: 540, -1: 156,
                                                             -2: 15})
+
+
+def test_three_nodal_severi_degrees_follow_the_universal_law(fresh_engines):
+    # three-nodal curves have genus i - 3; the law holds on a smooth polygon
+    # whose edges all have lattice length >= 3.  The polygons of at most 22
+    # points with i >= 3 among the δ = 2 test's families, and P2(6), the
+    # largest polygon the law was fitted on
+    candidates = [[(0, 0), (d, 0), (0, d)] for d in range(3, 7)]
+    candidates += [[(0, 0), (a, 0), (a, b), (0, b)] for a in range(3, 5) for b in range(3, 6)]
+    for d in range(3, 7):
+        for a, b, c in itertools.product(range(d), repeat=3):
+            if max(a + b, a + c, b + c) <= d:
+                candidates.append([(a, 0), (d - b, 0), (d - b, b), (c, d - c), (0, d - c), (0, a)])
+    polygons = {}
+    for corners in candidates:
+        poly = LatticePolygon.from_points(corners)
+        small = len(poly.lattice_points()) <= 22 or corners == [(0, 0), (6, 0), (0, 6)]
+        if (small and _smooth(poly.vertices) and min(_edge_lengths(poly.vertices)) >= 3
+                and genus_max(degree_from_polygon(poly)) >= 3):
+            polygons[poly.vertices] = poly
+    for vertices, poly in polygons.items():
+        deg = degree_from_polygon(poly)
+        assert _severi(deg, genus_max(deg) - 3) == three_nodal_severi(list(vertices)), vertices
+    # K² = 12 - e: triangles and quadrilaterals only
+    assert (len(polygons), {12 - len(v) for v in polygons}) == (11, {8, 9})
+    assert [three_nodal_severi([(0, 0), (d, 0), (0, d)]).evaluate(1) for d in range(3, 9)] == [
+        node_polynomial_3(d) for d in range(3, 9)] == [15, 675, 7915, 41310, 145383, 404185]
+
+    # 3-very ampleness is sufficient, not necessary: 2×b rectangles lie on
+    # the law with edges of length 2, but this smooth hexagon, whose cut
+    # edges have length 2, has a constant term 6 below the law's
+    hexagon = LatticePolygon(((0, 2), (2, 0), (4, 0), (4, 2), (2, 4), (0, 4)))
+    assert _smooth(hexagon.vertices) and min(_edge_lengths(hexagon.vertices)) == 2
+    assert len(hexagon.lattice_points()) == 19
+    law = three_nodal_severi(list(hexagon.vertices))
+    assert law == RefinedPoly({3: 35, 2: 456, 1: 2526, 0: 6406, -1: 2526, -2: 456, -3: 35})
+    deg = degree_from_polygon(hexagon)
+    assert _severi(deg, genus_max(deg) - 3) == law - 6
+
 
 def test_reducible_correction_is_pinned():
     for lam in all_orders():
