@@ -111,6 +111,7 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], RefinedPoly]:
                 if not line:
                     continue
                 try:
+                    # deeply nested brackets make json.loads raise RecursionError
                     obj = json.loads(line.decode())
                     G = RefinedPoly.from_json_obj(obj["poly"])
                     # both engines count weight-one ends only, so G has integer powers
@@ -121,7 +122,7 @@ def load_cache(path: Path) -> dict[tuple[str, int, str], RefinedPoly]:
                     _json_int(obj.get("version", 0))
                     if not (isinstance(key[0], str) and isinstance(key[2], str)):
                         raise TypeError("spec and engine must be strings")
-                except (ValueError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     print(
                         f"warning: {path}:{lineno}: skipping corrupt cache line ({exc})",
                         file=sys.stderr,

@@ -28,6 +28,7 @@ dumping a file in this canonical layout reproduces it byte for byte.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -206,7 +207,7 @@ class CurveCombinatorics:
             if m == 0:
                 raise CurveValidationError("balancing", f"vertex {v} is degenerate: its vectors are parallel")
         try:
-            degree = BalancedDegree([e.u() for e in es if e.is_infinite])
+            degree = BalancedDegree(Counter(e.u() for e in es if e.is_infinite))
         except DegreeError as exc:
             raise CurveValidationError("balancing", f"the unbounded ends do not form a degree: {exc}") from None
         object.__setattr__(self, "vertex_ids", vids)
@@ -267,7 +268,11 @@ class CurveCombinatorics:
 
     @classmethod
     def from_json(cls, text: str) -> "CurveCombinatorics":
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError as exc:  # deeply nested brackets
+            raise ValueError(f"malformed curve JSON: {exc}") from None
+        return cls.from_json_obj(obj)
 
     def to_json_obj(self) -> dict:
         return {

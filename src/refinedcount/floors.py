@@ -138,7 +138,7 @@ def classify_family(deg: BalancedDegree) -> Optional[tuple]:
     The distinct vectors decide: balancing forces a(-1,0) + b(0,-1) + c(1,1)
     = 0 to have a = b = c, and equal counts of opposite vectors in P1xP1.
     """
-    counts = Counter(deg.vectors)
+    counts = dict(deg.counts)
     if counts.keys() == {(-1, 0), (0, -1), (1, 1)}:
         return ("P2", counts[(-1, 0)])
     if counts.keys() == {(0, 1), (0, -1), (1, 0), (-1, 0)}:
@@ -166,8 +166,8 @@ def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[str, int, int, int, 
         )
     if g < 0:
         raise ValueError(f"no floor diagrams: genus {g} is negative")
-    counts = Counter(deg.vectors)
-    n, d, up_ends = counts[(-1, 0)], counts[(0, -1)], counts[(0, 1)]
+    counts = dict(deg.counts)
+    n, d, up_ends = counts[(-1, 0)], counts[(0, -1)], counts.get((0, 1), 0)
     sink = (d - up_ends) // n  # s is exact
     room = _room(n, d, sink)
 

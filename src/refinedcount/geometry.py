@@ -1,8 +1,10 @@
 """Lattice geometry of balanced degrees and their dual polygons.
 
 A *degree* is a balanced multiset of nonzero integer vectors (the directions
-of a tropical curve's unbounded ends, with multiplicity); it determines a
-convex lattice polygon whose sides are orthogonal to the direction classes.
+of a tropical curve's unbounded ends, with multiplicity), held as its counts:
+each distinct vector once, with its multiplicity, so a degree costs its
+distinct vectors, not its ends.  It determines a convex lattice polygon whose
+sides are orthogonal to the direction classes.
 This module provides both objects, the duality between them, exact lattice
 point counts (Pick's identity gives the interior count from the area and the
 boundary count; `test_lattice_counts_match_brute_force` checks it against a
@@ -82,47 +84,42 @@ def _direction_key(v: Vec) -> tuple[int, int, Fraction]:
 class BalancedDegree:
     """A balanced multiset of nonzero integer vectors spanning the plane.
 
-    Stored canonically (sorted), so equal multisets compare and hash equal.
+    Built from a mapping of vector -> multiplicity; `dict()` reads it, so the
+    stored `counts` build the same degree again.  Stored canonically as
+    `counts`: each distinct vector once, sorted, with its multiplicity, an
+    int >= 1.  So equal multisets compare and hash equal.
     """
 
-    vectors: tuple[Vec, ...]
+    counts: tuple[tuple[Vec, int], ...]
 
     def __post_init__(self):
-        vs = tuple(sorted(_int_vec(v, DegreeError) for v in self.vectors))
-        if any(v == (0, 0) for v in vs):
+        counts = tuple(sorted((_int_vec(v, DegreeError), k) for v, k in dict(self.counts).items()))
+        for v, k in counts:
+            if type(k) is not int or k < 1:
+                raise DegreeError(f"multiplicity {k!r} of {v} is not a positive integer")
+        if any(v == (0, 0) for v, _ in counts):
             raise DegreeError("degree contains a zero vector")
-        if len(vs) < 3:
+        if sum(k for _, k in counts) < 3:
             raise DegreeError("degree needs at least three vectors")
-        sx = sum(v[0] for v in vs)
-        sy = sum(v[1] for v in vs)
+        sx = sum(k * v[0] for v, k in counts)
+        sy = sum(k * v[1] for v, k in counts)
         if (sx, sy) != (0, 0):
             raise DegreeError(f"degree is not balanced: sum = ({sx},{sy})")
-        first = vs[0]
-        if all(cross(first, v) == 0 for v in vs[1:]):
+        first = counts[0][0]
+        if all(cross(first, v) == 0 for v, _ in counts[1:]):
             raise DegreeError("not full-dimensional")
-        object.__setattr__(self, "vectors", vs)
+        object.__setattr__(self, "counts", counts)
 
     @property
     def kappa(self) -> int:
-        return len(self.vectors)
-
-    def direction_classes(self) -> dict[Vec, list[int]]:
-        """Map primitive direction -> sorted list of multiples in that class."""
-        classes: dict[Vec, list[int]] = {}
-        for v in self.vectors:
-            p, m = primitive(v)
-            classes.setdefault(p, []).append(m)
-        for ms in classes.values():
-            ms.sort()
-        return classes
+        return sum(k for _, k in self.counts)
 
     def is_primitive(self) -> bool:
-        return all(primitive(v)[1] == 1 for v in self.vectors)
+        return all(primitive(v)[1] == 1 for v, _ in self.counts)
 
     def canonical_spec(self) -> str:
         """Deterministic `vectors:` spec string; used as a cache key."""
-        counts = sorted(Counter(self.vectors).items())
-        return "vectors:" + ";".join(f"({x},{y})x{k}" for (x, y), k in counts)
+        return "vectors:" + ";".join(f"({x},{y})x{k}" for (x, y), k in self.counts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,10 +224,10 @@ def dual_polygon(deg: BalancedDegree) -> LatticePolygon:
     outward normals closes up exactly because the degree is balanced.
     """
     classes: dict[Vec, Vec] = {}
-    for v in deg.vectors:
+    for v, k in deg.counts:
         p, _ = primitive(v)
         sx, sy = classes.get(p, (0, 0))
-        classes[p] = (sx + v[0], sy + v[1])
+        classes[p] = (sx + k * v[0], sy + k * v[1])
     point = (0, 0)
     verts = []
     for nrm in sorted(classes, key=_direction_key):
@@ -244,12 +241,10 @@ def degree_from_polygon(poly: LatticePolygon) -> BalancedDegree:
     """The unique primitive degree dual to the polygon.
 
     A side of integer length l with primitive outward normal n contributes
-    l copies of n; `dual_polygon` inverts this.
+    l copies of n (each side has its own normal); `dual_polygon` inverts
+    this.
     """
-    vs: list[Vec] = []
-    for nrm, length in poly.sides():
-        vs.extend([nrm] * length)
-    return BalancedDegree(vs)
+    return BalancedDegree(dict(poly.sides()))
 
 
 def lattice_counts(poly: LatticePolygon) -> tuple[int, int, int]:
@@ -288,8 +283,10 @@ def pi_count(deg: BalancedDegree) -> int:
     classes divided by prod (copies of each vector)! over the distinct
     vectors.
     """
-    shuffles = prod(factorial(len(ms)) for ms in deg.direction_classes().values())
-    return shuffles // prod(factorial(k) for k in Counter(deg.vectors).values())
+    sizes: Counter[Vec] = Counter()
+    for v, k in deg.counts:
+        sizes[primitive(v)[0]] += k
+    return prod(factorial(n) for n in sizes.values()) // prod(factorial(k) for _, k in deg.counts)
 
 
 @dataclass(frozen=True)
@@ -324,12 +321,10 @@ class HTransverseShape:
         return len(self.d_left)
 
     def degree(self) -> BalancedDegree:
-        vs: list[Vec] = []
-        vs.extend([(0, 1)] * self.d_plus)
-        vs.extend([(0, -1)] * self.d_minus)
-        vs.extend([(-1, -a) for a in self.d_left])
-        vs.extend([(1, k) for k in self.d_right])
-        return BalancedDegree(vs)
+        ends = Counter({(0, 1): self.d_plus, (0, -1): self.d_minus})
+        ends.update((-1, -a) for a in self.d_left)
+        ends.update((1, k) for k in self.d_right)
+        return BalancedDegree(+ends)  # + drops a side of length 0
 
     def polygon(self) -> LatticePolygon:
         return dual_polygon(self.degree())
@@ -365,13 +360,13 @@ def p2_degree(d: int) -> BalancedDegree:
     """Degree of plane curves of degree d: d copies each of (-1,0),(0,-1),(1,1)."""
     if d < 1:
         raise DegreeError("degree parameter d must be >= 1")
-    return BalancedDegree([(-1, 0)] * d + [(0, -1)] * d + [(1, 1)] * d)
+    return BalancedDegree({(-1, 0): d, (0, -1): d, (1, 1): d})
 
 def p1xp1_degree(d: int, r: int) -> BalancedDegree:
     """Bidegree (d,r) on a product of lines: dual polygon is the d-by-r rectangle."""
     if d < 1 or r < 1:
         raise DegreeError("bidegree parameters must be >= 1")
-    return BalancedDegree([(0, 1)] * d + [(0, -1)] * d + [(1, 0)] * r + [(-1, 0)] * r)
+    return BalancedDegree({(0, 1): d, (0, -1): d, (1, 0): r, (-1, 0): r})
 
 
 _VEC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
@@ -405,7 +400,7 @@ def parse_degree(spec: str) -> BalancedDegree:
         pts = _parse_point_list(spec[len("polygon:"):])
         return degree_from_polygon(LatticePolygon.from_points(pts))
     if spec.startswith("vectors:"):
-        vs: list[Vec] = []
+        ends: Counter[Vec] = Counter()  # a repeated entry adds up
         for chunk in spec[len("vectors:"):].split(";"):
             chunk = chunk.strip()
             if not chunk:
@@ -417,8 +412,8 @@ def parse_degree(spec: str) -> BalancedDegree:
             mult = int(k or 1)
             if mult < 1:
                 raise ValueError(f"multiplicity must be positive in {chunk!r}")
-            vs.extend([(int(x), int(y))] * mult)
-        return BalancedDegree(vs)
+            ends[(int(x), int(y))] += mult
+        return BalancedDegree(ends)
     raise ValueError(f"unrecognised degree spec {spec!r}")
 
 

@@ -318,11 +318,10 @@ class PathEngine:
         # one memo per side, keyed by arc-to-arc piece
         self._memo: dict[str, dict[bytes, dict[int, int]]] = {PLUS: {}, MINUS: {}}
         self._profiles: dict[str, dict[bytes, dict[Profile, dict[int, int]]]] = {PLUS: {}, MINUS: {}}
-        # the degree as multiplicities over its distinct end vectors; a
-        # sub-degree is a tuple of multiplicities over the same vectors
-        ends = degree_from_polygon(poly).vectors
-        self._vectors = tuple(sorted(set(ends)))
-        self._full = tuple(ends.count(v) for v in self._vectors)
+        # the degree's counts: its distinct end vectors and their
+        # multiplicities; a sub-degree is a tuple of multiplicities over the
+        # same vectors
+        self._vectors, self._full = zip(*degree_from_polygon(poly).counts)
         self._parts: list[tuple[tuple[int, ...], int, PathEngine | None]] | None = None
         # G per genus, and the exponential formula's memo keyed by (sub-degree, points)
         self._counts: dict[int, dict[int, int]] = {}
@@ -510,12 +509,13 @@ class PathEngine:
                     continue
                 if any(sum(k * v[axis] for k, v in zip(sub, vectors)) for axis in (0, 1)):
                     continue  # not balanced
-                ends = [v for k, v in zip(sub, vectors) for _ in range(k)]
-                if all(cross(ends[0], v) == 0 for v in ends):
-                    if len(ends) == 2:
+                ends = {v: k for v, k in zip(vectors, sub) if k}
+                first = next(iter(ends))
+                if all(cross(first, v) == 0 for v in ends):
+                    if sum(sub) == 2:
                         parts.append((sub, 2, None))
                     continue
-                parts.append((sub, len(ends), engine_for(BalancedDegree(ends), self.lam)))
+                parts.append((sub, sum(sub), engine_for(BalancedDegree(ends), self.lam)))
             self._parts = parts
         return self._parts
 

@@ -309,9 +309,7 @@ def floor_diagrams_brute(deg, g: int) -> list[tuple]:
     exceeds d, since the weight crossing a gap is at most the number of
     infinite ends on one side of it.
     """
-    counts: dict = {}
-    for v in deg.vectors:
-        counts[v] = counts.get(v, 0) + 1
+    counts = dict(deg.counts)
     p2 = set(counts) == {(-1, 0), (0, -1), (1, 1)}
     d, n = (counts[(1, 1)],) * 2 if p2 else (counts[(0, 1)], counts[(1, 0)])
     n_elevators = g + n - 1

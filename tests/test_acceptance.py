@@ -5,6 +5,7 @@ criterion additionally prints an ``ACCEPTANCE n <label>: PASS`` line.
 """
 
 import random
+from collections import Counter
 from math import comb
 from time import perf_counter
 
@@ -239,7 +240,7 @@ def test_criterion_7_oracle_suites():
     rng = random.Random(20260815)
     for _ in range(50):
         vectors = random_balanced_vectors(rng)
-        assert pi_count(BalancedDegree(vectors)) == cyclic_orders_brute(vectors), (
+        assert pi_count(BalancedDegree(Counter(vectors))) == cyclic_orders_brute(vectors), (
             vectors
         )
 

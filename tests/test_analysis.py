@@ -1,5 +1,7 @@
 """Law-checking layer: structural checks, closed formulas, cross-validation."""
 
+from collections import Counter
+
 import pytest
 
 from refinedcount.analysis import (
@@ -27,7 +29,7 @@ from refinedcount.paths import compute_G_path
 def test_canonical_spec():
     assert canonical_spec(p2_degree(3)) == "P2:d=3"
     assert canonical_spec(p1xp1_degree(2, 3)) == "P1xP1:d=2,r=3"
-    deg = BalancedDegree([(2, 0), (0, 2), (-2, -2)])
+    deg = BalancedDegree(Counter([(2, 0), (0, 2), (-2, -2)]))
     assert canonical_spec(deg) == deg.canonical_spec()
     assert parse_degree(canonical_spec(deg)) == deg
 
@@ -118,7 +120,7 @@ def test_lower_bound_rejects_out_of_scope_degrees():
     with pytest.raises(ValueError, match="^rectangle family needs d, r >= 2, got d=1, r=2$"):
         delta_minus_1_lower_bound(p1xp1_degree(1, 2))
     with pytest.raises(ValueError, match="^lower bound stated only for the P2 and P1xP1 families$"):
-        delta_minus_1_lower_bound(BalancedDegree([(2, 0), (0, 2), (-2, -2)]))
+        delta_minus_1_lower_bound(BalancedDegree(Counter([(2, 0), (0, 2), (-2, -2)])))
 
 
 def test_cross_validate_families():

@@ -173,6 +173,24 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
     assert (code, out) == (3, "")
     assert err == ("error: lattice-path engine supports at most 256 lattice points in the "
                    "polygon, got 4504501\n")
+    # a degree costs its distinct vectors, not its ends: past sys.maxsize ends
+    # the gate still refuses at once
+    huge = 10**19
+    triangle, strip = (huge + 1) * (huge + 2) // 2, 2 * (huge + 1)
+    for argv, points in (
+        (("count", f"P2:d={huge}", "--engine", "path"), triangle),
+        (("count", f"P2:d={huge}", "--engine", "both"), triangle),
+        (("count", f"polygon:(0,0),({huge},0),(0,{huge})"), triangle),
+        (("count", f"vectors:(1,0)x{huge};(-1,0)x{huge};(0,1);(0,-1)"), strip),
+        (("paths", f"P2:d={huge}"), triangle),
+        (("analyze", f"P2:d={huge}"), triangle),
+        (("invariance", f"P2:d={huge}"), triangle),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err == ("error: lattice-path engine supports at most 256 lattice points in the "
+                       f"polygon, got {points}\n"), argv
+    assert not isolated_cache.exists()
 
     # valid arguments over a device that fails to write are an I/O error, not
     # a usage error: one line on stderr, exit 74 (sysexits' EX_IOERR)
@@ -327,6 +345,8 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache, monkeypatch):
         entry(poly=[[1, "1"], [-1, "1"]]),
         # append_cache writes the terms in descending order: G itself, reordered, is tampering
         entry(poly=[[-2, "1"], [0, "10"], [2, "1"]]),
+        # brackets nested past the JSON parser's recursion limit
+        "[" * 1000,
         # a whitespace-only line is skipped without a warning
         " \t ",
         # last, a line cut short with no newline, as a writer killed mid-line leaves it
@@ -336,15 +356,15 @@ def test_count_skips_corrupt_cache_lines(capsys, isolated_cache, monkeypatch):
     code, out, err = run(capsys, "count", "P2:d=3")
     assert code == 0
     assert "G: y+10+y^-1" in out
-    assert err.count("skipping corrupt cache line") == 14
+    assert err.count("skipping corrupt cache line") == 15
     assert err.count("(polynomial terms not in canonical form)") == 5
     assert err.count("(half-integer power)") == 1
     code, out, err = run(capsys, "count", "P2:d=3", "--genus", "1")
     assert code == 0
     assert "G: 1\n" in out
-    assert err.count("skipping corrupt cache line") == 14
+    assert err.count("skipping corrupt cache line") == 15
     # the fresh results are appended after the corrupt and blank lines, each on its own line
-    assert len(isolated_cache.read_text().splitlines()) == 17
+    assert len(isolated_cache.read_text().splitlines()) == 18
 
     def no_engine(*args, **kwargs):
         raise AssertionError("an engine ran")
@@ -433,7 +453,7 @@ def test_count_with_an_empty_cache_variable_uses_the_default_cache(capsys, tmp_p
     assert len((tmp_path / cli.DEFAULT_CACHE).read_text().splitlines()) == 1
 
 
-def test_curve_report(capsys):
+def test_curve_report(capsys, tmp_path):
     path = DATA_DIR / "delta3_weight2_edge.json"
     code, out, _ = run(capsys, "curve", str(path))
     assert code == 0
@@ -466,6 +486,12 @@ def test_curve_report(capsys):
     code, _, err = run(capsys, "curve", str(DATA_DIR / "missing.json"))
     assert code == 2
     assert err == f"error: [Errno 2] No such file or directory: '{DATA_DIR / 'missing.json'}'\n"
+    # so is a file nested past the JSON parser's recursion limit: one error line
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 1000)
+    code, out, err = run(capsys, "curve", str(nested))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_curve_with_a_degenerate_vertex_is_a_usage_error(capsys, tmp_path):

@@ -36,13 +36,13 @@ from oracles import (
 def test_classify_family():
     assert classify_family(p2_degree(3)) == ("P2", 3)
     assert classify_family(p1xp1_degree(2, 3)) == ("P1xP1", (2, 3))
-    assert classify_family(BalancedDegree([(2, 0), (0, 2), (-2, -2)])) is None
+    assert classify_family(BalancedDegree(Counter([(2, 0), (0, 2), (-2, -2)]))) is None
     assert classify_family(parse_degree("polygon:(0,0),(2,1),(0,2)")) is None
 
 
 def _family_by_construction(deg):
     """The family whose constructor, fed the degree's own counts, rebuilds it."""
-    c = Counter(deg.vectors)
+    c = Counter(dict(deg.counts))
     if c[(-1, 0)] and deg == p2_degree(c[(-1, 0)]):
         return ("P2", c[(-1, 0)])
     if c[(0, 1)] and c[(1, 0)] and deg == p1xp1_degree(c[(0, 1)], c[(1, 0)]):
@@ -52,16 +52,17 @@ def _family_by_construction(deg):
 
 def test_classify_family_near_misses_and_drawn_degrees():
     # a family's vectors plus one more balanced line is no family
-    p2_plus_line = BalancedDegree(p2_degree(2).vectors + ((1, 0), (-1, 0)))
+    p2_plus_line = BalancedDegree(Counter(dict(p2_degree(2).counts)) + Counter([(1, 0), (-1, 0)]))
     assert classify_family(p2_plus_line) is None
-    quadric_plus_line = BalancedDegree(p1xp1_degree(2, 3).vectors + ((1, 1), (-1, -1)))
+    quadric_plus_line = BalancedDegree(
+        Counter(dict(p1xp1_degree(2, 3).counts)) + Counter([(1, 1), (-1, -1)]))
     assert classify_family(quadric_plus_line) is None
     rng = random.Random(20261018)
     hits = Counter()
     # unit coordinates hit both families often; coordinates up to 2 draw wider
     for coord, draws in ((1, 2000), (2, 1000)):
         for _ in range(draws):
-            deg = BalancedDegree(random_balanced_vectors(rng, coord=coord))
+            deg = BalancedDegree(Counter(random_balanced_vectors(rng, coord=coord)))
             family = classify_family(deg)
             assert family == _family_by_construction(deg), deg
             hits[family and family[0]] += 1

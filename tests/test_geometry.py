@@ -1,5 +1,6 @@
 """Degrees, dual polygons, lattice counts and degree-spec parsing."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,26 +38,36 @@ def test_primitive():
 
 def test_balanced_degree_validation():
     with pytest.raises(DegreeError):
-        BalancedDegree([(1, 0), (0, 0), (-1, 0)])
+        BalancedDegree(Counter([(1, 0), (0, 0), (-1, 0)]))
     with pytest.raises(DegreeError):
-        BalancedDegree([(1, 0), (-1, 0)])
+        BalancedDegree(Counter([(1, 0), (-1, 0)]))
     with pytest.raises(DegreeError):
-        BalancedDegree([(1, 0), (1, 0), (-1, 0)])
+        BalancedDegree(Counter([(1, 0), (1, 0), (-1, 0)]))
     with pytest.raises(DegreeError):
-        BalancedDegree([(1, 0), (1, 0), (-1, 0), (-1, 0)])
+        BalancedDegree(Counter([(1, 0), (1, 0), (-1, 0), (-1, 0)]))
     # int() would truncate 1.9 to the unit triangle's (1, 0) and pass True as 1
     for bad in ((1.9, 0), (True, 0)):
         with pytest.raises(DegreeError, match="coordinates must be integers"):
-            BalancedDegree([bad, (0, 1), (-1, -1)])
+            BalancedDegree(Counter([bad, (0, 1), (-1, -1)]))
+    # a multiplicity is an int >= 1: True and 2.0 must not pass for 1 and 2
+    for bad, opposite in ((0, 1), (-1, 1), (True, 1), (2.0, 2)):
+        with pytest.raises(DegreeError, match="is not a positive integer"):
+            BalancedDegree({(1, 0): bad, (-1, 0): opposite, (0, 1): 1, (0, -1): 1})
+    # the same multiset from mappings in two key orders is one degree
+    deg = BalancedDegree({(1, 0): 2, (-1, 0): 2, (0, 1): 1, (0, -1): 1})
+    other = BalancedDegree({(0, -1): 1, (0, 1): 1, (-1, 0): 2, (1, 0): 2})
+    assert deg == other and hash(deg) == hash(other)
+    assert BalancedDegree(deg.counts) == deg
+    # repeated vectors: entries add up
+    deg = parse_degree("vectors:(1,0);(1,0)x2;(-1,0)x3;(0,1);(0,-1)")
+    assert deg.counts == (((-1, 0), 3), ((0, -1), 1), ((0, 1), 1), ((1, 0), 3))
 
 
 def test_projective_plane_degree():
     deg = p2_degree(3)
     assert deg.kappa == 9
     assert deg.is_primitive()
-    classes = deg.direction_classes()
-    assert set(classes) == {(-1, 0), (0, -1), (1, 1)}
-    assert all(ms == [1, 1, 1] for ms in classes.values())
+    assert deg.counts == (((-1, 0), 3), ((0, -1), 3), ((1, 1), 3))
     with pytest.raises(DegreeError):
         p2_degree(0)
 
@@ -64,16 +75,15 @@ def test_projective_plane_degree():
 def test_quadric_degree():
     deg = p1xp1_degree(2, 3)
     assert deg.kappa == 10
-    classes = deg.direction_classes()
-    assert classes[(1, 0)] == [1, 1, 1] and classes[(0, 1)] == [1, 1]
+    assert deg.counts == (((-1, 0), 3), ((0, -1), 2), ((0, 1), 2), ((1, 0), 3))
     with pytest.raises(DegreeError):
         p1xp1_degree(1, 0)
 
 
 def test_non_primitive_degree():
-    deg = BalancedDegree([(2, 0), (0, 2), (-2, -2)])
+    deg = BalancedDegree(Counter([(2, 0), (0, 2), (-2, -2)]))
     assert not deg.is_primitive()
-    assert deg.direction_classes()[(1, 0)] == [2]
+    assert deg.counts == (((-2, -2), 1), ((0, 2), 1), ((2, 0), 1))
 
 
 def test_dual_polygon_of_families():
@@ -150,7 +160,7 @@ def test_delta_invariant_values():
     assert delta_invariant(0, p2_degree(4)) == 3
     assert delta_invariant(1, p2_degree(4)) == 2
     assert delta_invariant(0, p1xp1_degree(2, 2)) == 1
-    assert delta_invariant(0, BalancedDegree([(2, 0), (0, 2), (-2, -2)])) == Fraction(
+    assert delta_invariant(0, BalancedDegree(Counter([(2, 0), (0, 2), (-2, -2)]))) == Fraction(
         3, 2
     )
     with pytest.raises(ValueError, match="genus 2 too large: the dual polygon has 1 interior points"):
@@ -169,8 +179,8 @@ def test_genus_max():
 def test_pi_count_examples():
     assert pi_count(p2_degree(3)) == 1
     assert pi_count(p1xp1_degree(2, 3)) == 1
-    assert pi_count(BalancedDegree([(1, 0), (2, 0), (-3, 0), (0, 3), (0, -3)])) == 2
-    assert pi_count(BalancedDegree([(1, 0), (2, 0), (3, 0), (-6, -6), (0, 6)])) == 6
+    assert pi_count(BalancedDegree(Counter([(1, 0), (2, 0), (-3, 0), (0, 3), (0, -3)]))) == 2
+    assert pi_count(BalancedDegree(Counter([(1, 0), (2, 0), (3, 0), (-6, -6), (0, 6)]))) == 6
 
 
 def test_h_transverse_families():
@@ -202,15 +212,15 @@ def test_parse_degree_forms():
     assert parse_degree("polygon:(0,0),(3,0),(0,3)") == p2_degree(3)
     assert parse_degree("vectors:(-1,0)x3;(0,-1)x3;(1,1)x3") == p2_degree(3)
     assert parse_degree("vectors:(2,0);(0,2);(-2,-2)") == BalancedDegree(
-        [(2, 0), (0, 2), (-2, -2)]
+        Counter([(2, 0), (0, 2), (-2, -2)])
     )
     # spaces around an entry are stripped, and x1 is the default written out
     assert parse_degree("vectors: (1,0) ; (0,1) ;(-1,-1)x1") == BalancedDegree(
-        [(1, 0), (0, 1), (-1, -1)]
+        Counter([(1, 0), (0, 1), (-1, -1)])
     )
     # an empty entry between separators is skipped
     assert parse_degree("vectors:(1,0);;(-1,1);(0,-1)") == BalancedDegree(
-        [(1, 0), (-1, 1), (0, -1)]
+        Counter([(1, 0), (-1, 1), (0, -1)])
     )
 
 
@@ -225,5 +235,5 @@ def test_parse_degree_errors():
 
 def test_canonical_spec_round_trip():
     for deg in (p2_degree(3), p1xp1_degree(2, 3),
-                BalancedDegree([(2, 0), (0, 2), (-2, -2)])):
+                BalancedDegree(Counter([(2, 0), (0, 2), (-2, -2)]))):
         assert parse_degree(deg.canonical_spec()) == deg

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
 
@@ -135,7 +136,7 @@ def test_per_path_joint_multiplicities_are_structured():
 
 
 def test_nonprimitive_degree_rejected():
-    deg = BalancedDegree([(2, 0), (0, 2), (-2, -2)])
+    deg = BalancedDegree(Counter([(2, 0), (0, 2), (-2, -2)]))
     with pytest.raises(UnsupportedDegreeError, match="requires primitive degree"):
         compute_G_path(deg, 0)
 
