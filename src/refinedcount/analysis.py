@@ -10,15 +10,18 @@ turns each law into an `InvariantReport` check suitable for JSON emission.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional
 
-from .floors import classify_family, compute_G_floor
+from .floors import compute_G_floor
 from .geometry import (
     BalancedDegree,
     HTransverseShape,
+    UnsupportedDegreeError,
+    classify_family,
     delta_invariant,
     dual_polygon,
     h_transverse,
@@ -65,10 +68,9 @@ def canonical_spec(deg: BalancedDegree) -> str:
 
 def _delta(deg: BalancedDegree, g: int) -> Optional[Fraction]:
     """delta of the degree at genus g, or None at a genus with no curves."""
-    try:
+    with suppress(ValueError):
         return delta_invariant(g, deg)
-    except ValueError:
-        return None
+    return None
 
 
 def _check(name: str, expected, actual, ok: bool) -> dict:
@@ -153,11 +155,11 @@ def delta_minus_1_lower_bound(deg: BalancedDegree) -> tuple[int, int]:
 def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
     """Both engines, all eight lambda orders, and the evaluation law.
 
-    The report is partial when the floor engine does not cover the degree's
-    shape: the agreement check is then omitted rather than failed.  The
-    count is the path engine's, whose degrees are primitive, so every end
-    has weight 1 and G has integer powers.  The one evaluation law is then
-    |G(-1)| <= G(1) with equal parity.
+    The report is partial when the floor engine refuses the degree's shape
+    (UnsupportedDegreeError): the agreement check is then omitted rather
+    than failed.  The count is the path engine's, whose degrees are
+    primitive, so every end has weight 1 and G has integer powers.  The one
+    evaluation law is then |G(-1)| <= G(1) with equal parity.
     """
     by_order = {lam.spec(): compute_G_path(deg, g, lam=lam) for lam in all_orders()}
     G = by_order[DEFAULT_ORDER.spec()]
@@ -170,7 +172,7 @@ def cross_validate(deg: BalancedDegree, g: int) -> InvariantReport:
             distinct == 1,
         )
     ]
-    if classify_family(deg) is not None:
+    with suppress(UnsupportedDegreeError):
         floor_G = compute_G_floor(deg, g)
         checks.append(_check("engine agreement", G, floor_G, floor_G == G))
     value_1 = G.evaluate(1)

@@ -20,9 +20,9 @@ printed.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (an unreadable curve
 file among them), 3 unsupported combination (e.g. the floor engine on a
-degree outside its two families), 74 any other I/O error, such as a full
-disk under stdout (sysexits' EX_IOERR), 141 the reader closed stdout early
-(128 + SIGPIPE).
+degree that is not one of its trapezoids), 74 any other I/O error, such as
+a full disk under stdout (sysexits' EX_IOERR), 141 the reader closed stdout
+early (128 + SIGPIPE).
 All output is deterministic: identical invocations give identical bytes.
 """
 

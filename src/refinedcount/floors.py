@@ -1,23 +1,30 @@
 """Floor-diagram engine for refined curve counts.
 
-Supported degrees: the triangle family P2(d) and the rectangle family
-P1xP1(d, r).  A curve stretched in the vertical direction decomposes into
-horizontal *floors* joined by vertical *elevators*; only the combinatorics
-survives.  Write in(v) / out(v) for the total weight of finite elevators
-reaching floor v from below / leaving it upward.
+Supported degrees: those with ends n x (-1,0), n x (1,s), d x (0,-1) and
+u x (0,1) only, for n >= 1; balancing makes d = s * n + u.  Their dual
+polygons are the *trapezoids* with a vertical left side of length n, one
+right slope and horizontal sides of lengths d and u (a triangle when one of
+them is 0).  The triangle family P2(d) and the rectangle family P1xP1(d, r)
+are among them.  A curve stretched in the vertical direction decomposes
+into horizontal *floors* joined by vertical *elevators*; only the
+combinatorics survives.  Write in(v) / out(v) for the total weight of
+finite elevators reaching floor v from below / leaving it upward.
 
-Both families are one parameterization, read off the degree's end counts:
-one floor per (-1,0) end, #(0,-1) infinite ends below and #(0,1) above, and
-a divergence s = (#(0,-1) - #(0,1)) / #floors that every floor absorbs:
+The rule reads the degree's end counts: one floor per (-1,0) end, d
+infinite ends below and u above, and a divergence s = (d - u) / n that
+every floor absorbs:
 
     in(v) + infinite_down(v) - out(v) - infinite_up(v) = s.
 
 So s = 1 for P2(d) (d floors, d ends below, none above) and s = 0 for
-P1xP1(d, r) (r floors, d ends below and d above).  Each floor's excess
-in(v) - out(v) - s is split between its ends below and above; where ends go
-both ways the split is a free choice, so one weighted floor graph may yield
-several diagrams.  The family name only gates support (`classify_family`)
-and labels the diagrams.
+P1xP1(d, r) (r floors, d ends below and d above); the Hirzebruch trapezoid
+with ends 2 x (-1,0), 2 x (1,1), 3 x (0,-1) and 1 x (0,1) has s = 1 and one
+end above.  Each floor's excess in(v) - out(v) - s is split between its
+ends below and above; where ends go both ways the split is a free choice,
+so one weighted floor graph may yield several diagrams.  `_floor_parameters`
+is the one statement of this support, by the counts its rule reads; a
+left side with slanted ends would need a divergence per floor.  The
+family name only labels the diagrams.
 
 The genus is the cycle count of the floor graph: #elevators - #floors + 1.
 
@@ -76,7 +83,8 @@ is divided out:
   C(l + down, down) ways as above, starts new classes, multiplying in
   [w]^2 per elevator, and opens an up group of down + excess upward ends,
   due at the virtual floor n + 1.  The starts and the ends come from the
-  per-floor rule; for P2 the range of ends below is the one count -excess.
+  per-floor rule; with no ends above (u = 0, as for P2) the range of ends
+  below is the one count -excess.
 
 A *gap state* keeps only what the rest of the sweep can see: each crossing
 class as (weight, m, r), grouped by the connected component of the floors
@@ -108,10 +116,11 @@ class FloorDiagram:
     `elevators` is the sorted multiset of finite elevators (lower, upper,
     weight) with lower < upper; `infinite_down[v-1]` / `infinite_up[v-1]`
     count infinite elevators attached below / above floor v (each has
-    weight 1; the P2 family has no upward ones).
+    weight 1; the P2 family has no upward ones).  `family` is the label of
+    `_floor_parameters`: "P2", "P1xP1", or None for the other shapes.
     """
 
-    family: str                      # "P2" or "P1xP1"
+    family: Optional[str]
     n_floors: int
     elevators: tuple[tuple[int, int, int], ...]
     infinite_down: tuple[int, ...]
@@ -132,43 +141,30 @@ class FloorDiagram:
         }
 
 
-def classify_family(deg: BalancedDegree) -> Optional[tuple]:
-    """("P2", d) or ("P1xP1", (d, r)) when the degree matches a family.
-
-    The distinct vectors decide: balancing forces a(-1,0) + b(0,-1) + c(1,1)
-    = 0 to have a = b = c, and equal counts of opposite vectors in P1xP1.
-    """
-    counts = dict(deg.counts)
-    if counts.keys() == {(-1, 0), (0, -1), (1, 1)}:
-        return ("P2", counts[(-1, 0)])
-    if counts.keys() == {(0, 1), (0, -1), (1, 0), (-1, 0)}:
-        return ("P1xP1", (counts[(0, 1)], counts[(1, 0)]))
-    return None
-
-
-def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[str, int, int, int, Callable]:
-    """(family name, floors n, ends below d, ends above, per-floor rule) of the degree.
+def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[Optional[str], int, int, int, Callable]:
+    """(label, floors n, ends below d, ends above u, per-floor rule) of the degree.
 
     The floor engine's one door: both floor loops read the degree through it.
-    Raises UnsupportedDegreeError outside the two families and ValueError
-    for a negative genus.  The rule, rules(v, arriving, downs, used_up, left),
-    is what floor v may do given what the floors below it did: floor v has
-    `arriving` weight ending on it, the floors below used `downs` ends below
-    and `used_up` above, and `left` elevators are still to start.  It yields
-    (started, e, ends): a non-increasing tuple of weights floor v starts, its
-    excess e = in(v) - out(v) - s, and the range of its ends below; with k
-    ends below it takes k + e above.
+    It takes exactly the degrees its rule reads, the ends n x (-1,0),
+    n x (1,s), d x (0,-1) and u x (0,1) with n >= 1 and s = (d - u) / n: a
+    vertical left side and one right slope.  It raises UnsupportedDegreeError
+    for any other degree and ValueError for a negative genus.  The label is
+    "P2" for s = 1 and u = 0, "P1xP1" for s = 0 and None otherwise.  The rule,
+    rules(v, arriving, downs, used_up, left), is what floor v may do given
+    what the floors below it did: floor v has `arriving` weight ending on it,
+    the floors below used `downs` ends below and `used_up` above, and `left`
+    elevators are still to start.  It yields (started, e, ends): a
+    non-increasing tuple of weights floor v starts, its excess
+    e = in(v) - out(v) - s, and the range of its ends below; with k ends
+    below it takes k + e above.
     """
-    family = classify_family(deg)
-    if family is None:
-        raise UnsupportedDegreeError(
-            "floor diagrams are implemented for the P2(d) and P1xP1(d,r) families only"
-        )
+    counts = dict(deg.counts)
+    n, d, up_ends = (counts.get(v, 0) for v in ((-1, 0), (0, -1), (0, 1)))
+    sink = (d - up_ends) // n if n else 0  # exact once the counts match: they balance
+    if not n or counts != +Counter({(-1, 0): n, (1, sink): n, (0, -1): d, (0, 1): up_ends}):
+        raise UnsupportedDegreeError("floor diagrams need ends (-1,0), (1,s), (0,-1), (0,1) only")
     if g < 0:
         raise ValueError(f"no floor diagrams: genus {g} is negative")
-    counts = dict(deg.counts)
-    n, d, up_ends = counts[(-1, 0)], counts[(0, -1)], counts.get((0, 1), 0)
-    sink = (d - up_ends) // n  # s is exact
     room = _room(n, d, sink)
 
     def rules(v: int, arriving: int, downs: int, used_up: int, left: int) -> Iterator[tuple]:
@@ -181,7 +177,8 @@ def _floor_parameters(deg: BalancedDegree, g: int) -> tuple[str, int, int, int, 
             low = max(0, -e, d - downs if v == n else 0)
             yield started, e, range(low, min(d - downs, up_ends - used_up - e) + 1)
 
-    return family[0], n, d, up_ends, rules
+    label = "P2" if (sink, up_ends) == (1, 0) else "P1xP1" if sink == 0 else None
+    return label, n, d, up_ends, rules
 
 
 def _room(n: int, d: int, sink: int) -> list[int]:
@@ -189,7 +186,7 @@ def _room(n: int, d: int, sink: int) -> list[int]:
 
     Every elevator floor u starts crosses the gap above u, whose weight is at
     most d - u * sink (the ends below floors 1..u, less the divergence they
-    absorb): d - u for P2, d for P1xP1.  Floor n starts none.
+    absorb).  Floor n starts none.
     """
     room = [0] * (n + 1)
     for u in range(n - 1, 0, -1):

@@ -369,6 +369,25 @@ def p1xp1_degree(d: int, r: int) -> BalancedDegree:
     return BalancedDegree({(0, 1): d, (0, -1): d, (1, 0): r, (-1, 0): r})
 
 
+def classify_family(deg: BalancedDegree) -> Optional[tuple]:
+    """("P2", d) or ("P1xP1", (d, r)) when the degree matches a family.
+
+    The two families that `p2_degree` and `p1xp1_degree` build and
+    `parse_degree` reads by name: `analysis.canonical_spec` writes their
+    specs by it, and `analysis.delta_minus_1_lower_bound` is stated on them.
+    The floor engine takes a wider set of degrees, which its own door
+    states.  The distinct vectors decide: balancing forces a(-1,0) +
+    b(0,-1) + c(1,1) = 0 to have a = b = c, and equal counts of opposite
+    vectors in P1xP1.
+    """
+    counts = dict(deg.counts)
+    if counts.keys() == {(-1, 0), (0, -1), (1, 1)}:
+        return ("P2", counts[(-1, 0)])
+    if counts.keys() == {(0, 1), (0, -1), (1, 0), (-1, 0)}:
+        return ("P1xP1", (counts[(0, 1)], counts[(1, 0)]))
+    return None
+
+
 _VEC_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
 
 

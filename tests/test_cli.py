@@ -14,6 +14,8 @@ from refinedcount.cli import main
 from refinedcount.laurent import RefinedPoly
 
 DATA_DIR = Path(__file__).parent / "data" / "curves"
+# the Hirzebruch surface F1: ends 2 x (-1,0), 2 x (1,1), 3 x (0,-1), 1 x (0,1)
+F1 = "polygon:(0,0),(3,0),(1,2),(0,2)"
 
 
 @pytest.fixture(autouse=True)
@@ -65,6 +67,12 @@ def test_count_examples(capsys):
     code, out, _ = run(capsys, "count", "polygon:(0,0),(2,1),(0,2)")
     assert code == 0 and out.endswith("G: y+2+y^-1\ndelta: 1\neval(1): 4\neval(-1): 0\n")
 
+    # the Hirzebruch trapezoid F1 is no family, but the floor engine counts it
+    for genus, G in (("0", "G: y+10+y^-1\n"), ("1", "G: 1\n")):
+        for engine in ("floor", "path"):
+            code, out, _ = run(capsys, "count", F1, "--engine", engine, "--genus", genus)
+            assert code == 0 and G in out, (engine, genus)
+
 
 def test_count_json_format(capsys):
     code, out, _ = run(capsys, "count", "P2:d=3", "--format", "json")
@@ -87,9 +95,10 @@ def test_count_csv_format(capsys):
 
 
 def test_count_both_engines_agree(capsys):
-    code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "both")
-    assert code == 0
-    assert "agreement: ok" in out
+    for spec in ("P2:d=3", F1):
+        code, out, _ = run(capsys, "count", spec, "--engine", "both")
+        assert code == 0
+        assert "agreement: ok" in out
     code, out, _ = run(capsys, "count", "P2:d=3", "--engine", "both", "--format", "json")
     assert code == 0
     assert out.endswith('"agreement": true}\n')
@@ -152,10 +161,11 @@ def test_count_exit_codes(capsys, isolated_cache, monkeypatch):
         assert out == ""
         assert err == "error: lattice-path engine requires primitive degree\n"
 
-    # neither degree is a floor family
+    # neither degree is one of the floor engine's trapezoids
     for spec in ("polygon:(0,0),(2,1),(0,2)", nonprimitive):
         code, _, err = run(capsys, "count", spec, "--engine", "floor")
         assert code == 3
+        assert err == "error: floor diagrams need ends (-1,0), (1,s), (0,-1), (0,1) only\n"
 
     # profile labels must fit a byte: refused before any count, nothing cached;
     # --engine both runs the path engine first, so its gate refuses before
@@ -552,6 +562,12 @@ def test_diagrams_listing(capsys, monkeypatch):
     code, _, err = run(capsys, "diagrams", "polygon:(0,0),(2,1),(0,2)")
     assert code == 3
 
+    # the trapezoid F1 carries no family label
+    code, out, _ = run(capsys, "diagrams", F1, "--genus", "1")
+    assert code == 0
+    (line,) = out.splitlines()
+    assert json.loads(line)["family"] is None
+
 
 PATHS_P2_D3 = """\
 {"points": [[0, 0], [0, 1], [0, 2], [0, 3], [1, 0], [1, 1], [1, 2], [2, 0], [3, 0]], "mu_plus": "0", "mu_minus": "1"}
@@ -605,12 +621,13 @@ def test_analyze_command(capsys):
 
 
 def test_invariance_command(capsys):
-    code, out, _ = run(capsys, "invariance", "P2:d=3")
-    assert code == 0
-    assert "check lambda invariance: pass" in out
-    assert "check engine agreement: pass" in out
-    assert "check evaluations at (1, -1): pass" in out
-    assert "(12, 8)" in out
+    for spec in ("P2:d=3", F1):
+        code, out, _ = run(capsys, "invariance", spec)
+        assert code == 0
+        assert "check lambda invariance: pass" in out
+        assert "check engine agreement: pass" in out
+        assert "check evaluations at (1, -1): pass" in out
+        assert "(12, 8)" in out
 
     # a hexagon that is not h-transverse: the path engine alone, in 8 orders
     code, out, _ = run(capsys, "invariance", "polygon:(0,0),(2,0),(3,1),(3,2),(1,3),(0,1)",

@@ -8,7 +8,6 @@ import pytest
 from refinedcount.floors import (
     UnsupportedDegreeError,
     _room,
-    classify_family,
     compute_G_floor,
     enumerate_diagrams,
     markings_count,
@@ -16,12 +15,17 @@ from refinedcount.floors import (
 )
 from refinedcount.geometry import (
     BalancedDegree,
+    DegreeError,
+    classify_family,
+    dual_polygon,
     genus_max,
+    lattice_counts,
     p1xp1_degree,
     p2_degree,
     parse_degree,
 )
 from refinedcount.laurent import _ONE, RefinedPoly, quantum_integer
+from refinedcount.paths import all_orders, compute_G_path
 from oracles import (
     GETZLER,
     WELSCHINGER,
@@ -71,11 +75,49 @@ def test_classify_family_near_misses_and_drawn_degrees():
 
 
 def test_unsupported_degree_raises():
-    skew = parse_degree("polygon:(0,0),(2,1),(0,2)")
-    with pytest.raises(UnsupportedDegreeError):
-        enumerate_diagrams(skew, 0)
-    with pytest.raises(UnsupportedDegreeError):
-        compute_G_floor(skew, 0)
+    refused = [
+        parse_degree("polygon:(0,0),(2,1),(0,2)"),  # a skew triangle
+        parse_degree("polygon:(0,0),(2,0),(3,1),(3,2),(1,3),(0,1)"),  # two right slopes
+        parse_degree("vectors:(-1,1);(1,0);(0,-1)"),  # a slanted left side
+        # P2(2) plus the line {(1,0), (-1,0)}
+        BalancedDegree(Counter(dict(p2_degree(2).counts)) + Counter([(1, 0), (-1, 0)])),
+        parse_degree("vectors:(2,0);(0,2);(-2,-2)"),  # not primitive
+    ]
+    for deg in refused:
+        for floor_call in (enumerate_diagrams, compute_G_floor):
+            with pytest.raises(UnsupportedDegreeError, match=r"need ends \(-1,0\), .* only$"):
+                floor_call(deg, 0)
+
+
+def test_the_floor_engine_counts_every_trapezoid():
+    # ends n x (-1,0), n x (1,s), d x (0,-1), u x (0,1) with d = s * n + u:
+    # the door takes them all, and the sweep, the listing and the path
+    # engine in all 8 orders agree at every genus
+    counts = 0
+    labels = Counter()
+    for n in range(1, 4):
+        for s in range(-2, 4):
+            for u in range(4):
+                d = s * n + u
+                if d < 0:
+                    continue
+                try:
+                    deg = BalancedDegree(+Counter({(-1, 0): n, (1, s): n, (0, -1): d, (0, 1): u}))
+                except DegreeError:
+                    continue  # d = u = 0 when s = 0: no polygon
+                if sum(lattice_counts(dual_polygon(deg))[:2]) > 16:
+                    continue
+                label = "P2" if (s, u) == (1, 0) else "P1xP1" if s == 0 else None
+                assert label == (classify_family(deg) or [None])[0], deg
+                labels[label] += 1
+                for g in range(genus_max(deg) + 1):
+                    G = compute_G_floor(deg, g)
+                    assert G == floor_sum_over_diagrams(deg, g), (deg, g)
+                    assert {compute_G_path(deg, g, lam) for lam in all_orders()} == {G}, (deg, g)
+                    assert {D.family for D in enumerate_diagrams(deg, g)} <= {label}
+                    counts += 1
+    assert (sum(labels.values()), counts) == (41, 77)
+    assert labels == {None: 29, "P1xP1": 9, "P2": 3}
 
 
 def test_cubic_rational_diagrams():
