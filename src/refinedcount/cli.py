@@ -24,12 +24,15 @@ degree that is not one of its trapezoids), 74 any other I/O error, such as
 a full disk under stdout (sysexits' EX_IOERR), 141 the reader closed stdout
 early (128 + SIGPIPE).
 All output is deterministic: identical invocations give identical bytes.
+``main`` builds its argument parser on the first call and reuses it in later
+calls of the same process; a one-shot command still builds it once.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -297,7 +300,8 @@ def cmd_paths(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """``analyze`` or ``invariance``: the subcommand's report on one count."""
-    report = args.report(_degree(args), args.genus)
+    # looked up per call, not bound into the parser, which outlives the call
+    report = (analyze if args.command == "analyze" else cross_validate)(_degree(args), args.genus)
     # defined: _degree checked the genus
     table = [f"spec: {report.degree_spec}", f"genus: {report.genus}", f"G: {report.G}",
              f"delta: {report.delta}"]
@@ -345,6 +349,7 @@ def _add_common(sub: argparse.ArgumentParser, *, genus: bool = True, lam: bool =
         )
 
 
+@functools.cache  # built on the first main call, not at import
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="refined-count",
@@ -386,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="structural-law report for one count")
     p_analyze.add_argument("spec")
     _add_common(p_analyze, fmt=True)
-    p_analyze.set_defaults(func=cmd_report, report=analyze)
+    p_analyze.set_defaults(func=cmd_report)
 
     p_inv = sub.add_parser(
         "invariance", help="ordering-independence and engine-agreement checks"
     )
     p_inv.add_argument("spec")
     _add_common(p_inv, fmt=True)
-    p_inv.set_defaults(func=cmd_report, report=cross_validate)
+    p_inv.set_defaults(func=cmd_report)
 
     return parser
 

@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, result cache."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -637,20 +638,56 @@ def test_invariance_command(capsys):
     assert "check lambda invariance: pass" in out
 
 
+def test_the_report_is_chosen_when_main_runs(capsys, monkeypatch):
+    # the parser outlives each call, so a report patched in later is the one run
+    assert run(capsys, "analyze", "P2:d=3")[0] == 0
+    ran = []
+    for name in ("analyze", "cross_validate"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=getattr(cli, name):
+                            ran.append(name) or real(*a))
+    assert run(capsys, "analyze", "P2:d=3")[0] == 0
+    assert run(capsys, "invariance", "P2:d=3")[0] == 0
+    assert ran == ["analyze", "cross_validate"]
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "count", "P2:d=3")
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(self, *a, **kw))
+    for argv, expected in (
+        (["count", "P2:d=3"], 0),  # a cache hit
+        (["count", "P2:d=3", "--genus", "-1"], 2),
+        (["--help"], 0),
+        (["curve", str(DATA_DIR / "delta3_genus1.json")], 0),
+        (["curve", str(DATA_DIR / "missing.json")], 2),
+        (["diagrams", "P2:d=3"], 0),
+        (["paths", "P2:d=3"], 0),
+        (["analyze", "P2:d=3"], 0),
+        (["invariance", "P2:d=3"], 0),
+    ):
+        assert run(capsys, *argv)[0] == expected, argv
+    assert built == []
+
+
 def test_invocations_are_deterministic(capsys):
     code1, out1, _ = run(capsys, "analyze", "P2:d=3", "--format", "json")
     code2, out2, _ = run(capsys, "analyze", "P2:d=3", "--format", "json")
     assert (code1, out1) == (code2, out2)
 
 
-@pytest.mark.parametrize("argv", [
+CORPUS = [
     ["count", "P2:d=4", "--genus", "1"],
     ["count", "P1xP1:d=3,r=3", "--engine", "both"],
     ["paths", "P2:d=3"],
     ["diagrams", "P2:d=4", "--genus", "1"],
     ["invariance", "P2:d=3", "--format", "json"],
     ["analyze", "P2:d=4", "--format", "csv"],
-], ids=" ".join)
+]
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
     # the engines' sets of tuples and bytes iterate in hash order, which
     # PYTHONHASHSEED changes from one process to the next
@@ -661,6 +698,18 @@ def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
         results.append((proc.returncode, proc.stdout, proc.stderr))
     assert results[0] == results[1]
     assert results[0][0] == 0 and results[0][1]
+
+
+@pytest.mark.parametrize("argv", CORPUS + [["count", "P2:d=3", "--genus", "-1"]], ids=" ".join)
+def test_a_call_in_a_long_process_acts_like_a_fresh_process(argv, capsys, tmp_path):
+    # main keeps its parser from earlier calls, this test's first call included
+    cmd, env = cli_process(argv, tmp_path / "fresh.jsonl")
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    for _ in range(2):
+        code, out, err = run(capsys, *argv)
+        # the usage line wraps at the terminal's width: compare the error line only
+        assert (code, out, err.splitlines()[-1:]) == (
+            proc.returncode, proc.stdout, proc.stderr.splitlines()[-1:])
 
 
 @pytest.mark.parametrize("argv", [["paths", "P2:d=5"], ["diagrams", "P2:d=6"]], ids=" ".join)
