@@ -677,18 +677,16 @@ def test_invocations_are_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-CORPUS = [
+@pytest.mark.parametrize("argv", [
     ["count", "P2:d=4", "--genus", "1"],
     ["count", "P1xP1:d=3,r=3", "--engine", "both"],
     ["paths", "P2:d=3"],
     ["diagrams", "P2:d=4", "--genus", "1"],
     ["invariance", "P2:d=3", "--format", "json"],
     ["analyze", "P2:d=4", "--format", "csv"],
-]
-
-
-@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
-def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
+    ["count", "P2:d=3", "--genus", "-1"],
+], ids=" ".join)
+def test_output_does_not_depend_on_the_hash_seed(argv, capsys, tmp_path):
     # the engines' sets of tuples and bytes iterate in hash order, which
     # PYTHONHASHSEED changes from one process to the next
     results = []
@@ -697,19 +695,14 @@ def test_output_does_not_depend_on_the_hash_seed(argv, tmp_path):
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         results.append((proc.returncode, proc.stdout, proc.stderr))
     assert results[0] == results[1]
-    assert results[0][0] == 0 and results[0][1]
-
-
-@pytest.mark.parametrize("argv", CORPUS + [["count", "P2:d=3", "--genus", "-1"]], ids=" ".join)
-def test_a_call_in_a_long_process_acts_like_a_fresh_process(argv, capsys, tmp_path):
-    # main keeps its parser from earlier calls, this test's first call included
-    cmd, env = cli_process(argv, tmp_path / "fresh.jsonl")
-    proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    code, out, err = results[0]
+    assert (code, bool(out)) == ((2, False) if "-1" in argv else (0, True))
+    # nor on earlier calls: main keeps its parser from them, so two more
+    # calls in this process must act like the fresh ones (the usage line
+    # wraps at the terminal's width, so compare the error line only)
     for _ in range(2):
-        code, out, err = run(capsys, *argv)
-        # the usage line wraps at the terminal's width: compare the error line only
-        assert (code, out, err.splitlines()[-1:]) == (
-            proc.returncode, proc.stdout, proc.stderr.splitlines()[-1:])
+        again = run(capsys, *argv)
+        assert (again[0], again[1], again[2].splitlines()[-1:]) == (code, out, err.splitlines()[-1:])
 
 
 @pytest.mark.parametrize("argv", [["paths", "P2:d=5"], ["diagrams", "P2:d=6"]], ids=" ".join)
