@@ -73,9 +73,13 @@ less room for a completed deformation, so that side's live set is usually
 the smaller one (on P2(5), in every order, 1833 live paths of length kappa
 against 20950 on the other side), but not always (on the hexagon
 (0,0),(2,0),(3,1),(3,2),(1,3),(0,1) in lex:+x,-y at genus 0, 85 against 81).
-The other side's live paths are never listed.
-A count visits only its live paths of the wanted length, reads the other
-side's mu first and the selective side's only for paths live on both.
+The other side's live paths are never listed.  A finished level is packed:
+its path ids, all of one length, sorted and joined in one bytes object,
+walked by slicing and searched by bisection.  The parents already found one
+point longer wait packed the same way; only the level being grown is a set,
+which drops a path found twice.  A count visits only its live paths of the
+wanted length, reads the other side's mu first and the selective side's only
+for paths live on both.
 
 The per-path reference keeps irreducibility local instead, and is written
 to be plainly correct rather than fast.  Each side's dual graph is a
@@ -102,17 +106,20 @@ lambda) pair owns one long-lived engine (`get_engine`), and the engine owns
 all of its state: the memo tables of the classical recursion (one dict per
 side, keyed by arc-to-arc piece of three points or more; no whole path is
 stored) and of the reference's side profiles (one dict per side, keyed by
-path id), the selective side's live levels, the balanced sub-degrees of its
-degree (enumerated once), the exponential formula's memo, and G of each
-genus already counted, so a repeat count only reads it back.  Every dead
-entry is the one shared empty dict `_DEAD`, and no memo value is ever
-mutated.  `get_engine`'s `lru_cache` of engines is the only module-level
-cache.  The engine and its tables are single-threaded.
+path id), the selective side's packed live levels and pending parents, the
+balanced sub-degrees of its degree (enumerated once), the exponential
+formula's memo, and G of each genus already counted, so a repeat count only
+reads it back.  Every dead entry is the one shared empty dict `_DEAD`, and
+no memo value is ever mutated, so equal nonzero mu values share one dict
+too: the engine keeps each once, keyed by its terms.  `get_engine`'s
+`lru_cache` of engines is the only module-level cache.  The engine and its
+tables are single-threaded.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -311,12 +318,14 @@ class PathEngine:
         plus_longer = len(self._arcs[PLUS]) >= len(self._arcs[MINUS])
         self._selective, self._other = (PLUS, MINUS) if plus_longer else (MINUS, PLUS)
         # the selective side's live paths, found backwards from its arc: one
-        # set per length, from the arc's up, plus the parents already found
-        # one point longer
-        self._levels: list[set[bytes]] = []
-        self._seeds: set[bytes] = {self._arcs[self._selective]}
-        # one memo per side, keyed by arc-to-arc piece
+        # packed level per length, from the arc's up, plus the parents already
+        # found one point longer, packed the same way
+        self._levels: list[bytes] = []
+        self._seeds: bytes = self._arcs[self._selective]
+        # one memo per side, keyed by arc-to-arc piece, and each distinct
+        # nonzero mu of a piece, keyed by its terms
         self._memo: dict[str, dict[bytes, dict[int, int]]] = {PLUS: {}, MINUS: {}}
+        self._mu_values: dict[frozenset, dict[int, int]] = {}
         self._profiles: dict[str, dict[bytes, dict[Profile, dict[int, int]]]] = {PLUS: {}, MINUS: {}}
         # the degree's counts: its distinct end vectors and their
         # multiplicities; a sub-degree is a tuple of multiplicities over the
@@ -383,23 +392,44 @@ class PathEngine:
                 # lambda is linear, so the reflected point sorts strictly
                 # between its neighbours: the new id needs no re-sort
                 result = _add(result, self.mu_ids(piece[:j] + bytes((rid,)) + piece[j + 1:], side))
-        self._memo[side][piece] = result = result or _DEAD
+        # equal polynomials share one dict: safe, as no memo value is mutated
+        result = self._mu_values.setdefault(frozenset(result.items()), result) if result else _DEAD
+        self._memo[side][piece] = result
         return result
 
     # -- live paths, generated backwards from the arc ---------------------------
 
-    def _level(self, n: int) -> set[bytes] | frozenset:
-        """The selective side's live paths of n points as a set, grown on demand."""
+    def _level(self, n: int) -> bytes:
+        """The selective side's live paths of n points, packed: their ids in
+        sorted order, joined, n bytes each.  Grown on demand."""
         i = n - len(self._arcs[self._selective])
         if i < 0 or n > len(self.points):
-            return frozenset()
-        while len(self._levels) <= i:
-            self._grow()
+            return b""
+        if len(self._levels) <= i:
+            # the pending parents are a set while levels grow, packed between calls
+            width = len(self._arcs[self._selective]) + len(self._levels)
+            seeds = {self._seeds[k:k + width] for k in range(0, len(self._seeds), width)}
+            while len(self._levels) <= i:
+                seeds = self._grow(seeds)
+            self._seeds = b"".join(sorted(seeds))
         return self._levels[i]
 
-    def _grow(self) -> None:
-        """Close the pending parents under inverse reflects: the next level."""
-        level = self._seeds
+    def _is_live(self, ids: bytes) -> bool:
+        """Whether the path is on the selective side's live level of its
+        length: a binary search over the level's records."""
+        n = len(ids)
+        level = self._level(n)
+        if not level:
+            return False
+        k = n * bisect_left(range(len(level) // n), ids, key=lambda r: level[r * n:r * n + n])
+        return level[k:k + n] == ids
+
+    def _grow(self, level: set[bytes]) -> set[bytes]:
+        """Close the pending parents under inverse reflects, pack them as the
+        next level, and return the parents found one point longer.
+
+        Only the level being grown is a set, which drops a path found twice.
+        """
         longer: set[bytes] = set()
         stack = list(level)
         sign = 1 if self._selective == PLUS else -1
@@ -408,8 +438,8 @@ class PathEngine:
                 if parent not in level:
                     level.add(parent)
                     stack.append(parent)
-        self._levels.append(level)
-        self._seeds = longer
+        self._levels.append(b"".join(sorted(level)))
+        return longer
 
     def _inverse_moves(self, child: bytes, sign: int, longer: set[bytes]) -> list[bytes]:
         """Parents of a live child: inverse cuts go into `longer`, inverse
@@ -487,7 +517,10 @@ class PathEngine:
         side's mu is read first, and the selective side's only if it is live.
         """
         total: dict[int, int] = {}
-        for ids in self._level(self.kappa + g):
+        n = self.kappa + g
+        level = self._level(n)
+        for k in range(0, len(level), n):
+            ids = level[k:k + n]
             other = self.mu_ids(ids, self._other)
             if other:
                 _accumulate(total, other, self.mu_ids(ids, self._selective), 1)
@@ -581,7 +614,7 @@ class PathEngine:
         only if the other side is live too.
         """
         ids = bytes(ids)
-        if ids not in self._level(len(ids)) or not self.side_profiles(ids, self._other):
+        if not self._is_live(ids) or not self.side_profiles(ids, self._other):
             return {}
         plus = self.side_profiles(ids, PLUS)
         joint: dict[int, int] = {}

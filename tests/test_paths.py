@@ -1,10 +1,14 @@
 """Lattice-path engine: orders, enumeration, side and joint multiplicities."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 from math import comb, gcd
+from pathlib import Path
 
 import pytest
 
@@ -186,11 +190,32 @@ def test_path_memos_are_compact():
         return {side: (len(memo), sum(not mu for mu in memo.values()))
                 for side, memo in engine._memo.items()}
 
+    def packed(engine):
+        # each live level, then the pending seeds one point longer: the
+        # strictly increasing ids of one path length, joined in one bytes
+        sizes = []
+        shortest = len(engine._arcs[engine._selective])
+        for n, level in enumerate([*engine._levels, engine._seeds], shortest):
+            assert type(level) is bytes and len(level) % n == 0
+            records = [level[k:k + n] for k in range(0, len(level), n)]
+            assert all(a < b for a, b in zip(records, records[1:]))
+            sizes.append(len(records))
+        return sizes
+
+    def shared(engine):
+        # (distinct objects, distinct values) among each side's live mu entries
+        return {side: (len({id(mu) for mu in memo.values() if mu}),
+                       len({frozenset(mu.items()) for mu in memo.values() if mu}))
+                for side, memo in engine._memo.items()}
+
     # every piece the recursion visits is one entry, so these counts pin the recursion
     engine = PathEngine(dual_polygon(p2_degree(5)), LambdaOrder.parse("lex:+x,+y"))
     engine.count(0)
     engine.count(1)
     assert entries(engine) == {MINUS: (2095, 755), PLUS: (991, 289)}
+    assert packed(engine) == [42, 259, 804, 1507, 1833, 1511, 824]
+    # equal polynomials are one dict: 1340 and 702 live entries hold 90 and 28 values
+    assert shared(engine) == {MINUS: (90, 90), PLUS: (28, 28)}
     engine = PathEngine(dual_polygon(p2_degree(4)), DEFAULT_ORDER)
     for g in range(genus_max(p2_degree(4)) + 1):
         engine.count(g)
@@ -269,8 +294,10 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
             tuples = list(map(bytes, engine.path_id_tuples(g, deg.kappa)))
             live = {side: [ids for ids in tuples if engine.mu_ids(ids, side)]
                     for side in (MINUS, PLUS)}
-            # the backward pass lists exactly the selective side's live paths
-            assert sorted(engine._level(deg.kappa + g)) == live[selective]
+            # the backward pass lists exactly the selective side's live paths,
+            # packed in sorted order
+            n, level = deg.kappa + g, engine._level(deg.kappa + g)
+            assert [level[k:k + n] for k in range(0, len(level), n)] == live[selective]
             # on these h-transverse shapes the longer arc's side is never the
             # larger live set; off them the choice is only a heuristic
             if h_shaped:
@@ -288,6 +315,31 @@ def test_backward_live_paths_equal_the_forward_ones(spec):
                 for e, v in joint.items():
                     total[e] = total.get(e, 0) + v
             assert RefinedPoly.from_half_units(total) == compute_G_path(deg, g, lam)
+
+
+def test_packed_levels_do_not_depend_on_the_hash_seed():
+    # the level being grown is a set of bytes, which iterates in hash order;
+    # the packed levels must come out the same in every process
+    script = (
+        "import hashlib\n"
+        "from refinedcount.geometry import dual_polygon, genus_max, p2_degree\n"
+        "from refinedcount.paths import PathEngine, all_orders\n"
+        "digest = hashlib.sha256()\n"
+        "for lam in all_orders():\n"
+        "    engine = PathEngine(dual_polygon(p2_degree(4)), lam)\n"
+        "    for g in range(genus_max(p2_degree(4)) + 1):\n"
+        "        engine.count(g)\n"
+        "    digest.update(b''.join(engine._levels))\n"
+        "print(digest.hexdigest())\n")
+    src = str(Path(paths.__file__).parents[1])
+    digests = []
+    for seed in ("0", "987654"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        digests.append(proc.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]
 
 
 def test_engine_refuses_a_polygon_whose_labels_would_not_fit_a_byte():
